@@ -38,11 +38,13 @@ fn main() {
     for (step, traded) in [0usize, 1, 2, 4, 6, 8, 10, 12, 14].into_iter().enumerate() {
         // Fresh transactional work before each configuration.
         harness.ingest(300, 4, step as u64);
-        // Trade `traded` CPUs: OLTP gives up cores on its socket and receives
-        // the same number on the OLAP socket.
+        // Switch so the query sees that work, then trade `traded` CPUs: OLTP
+        // gives up cores on its socket and receives the same number on the
+        // OLAP socket.
+        let switch = harness.rde.switch_and_sync();
         let report = harness
             .rde
-            .migrate_state_s1_with(&[(SocketId(0), 14 - traded), (SocketId(1), traded)]);
+            .migrate_state_s1_with(switch, &[(SocketId(0), 14 - traded), (SocketId(1), traded)]);
         assert_eq!(report.oltp_cores, 14);
 
         let sources = harness

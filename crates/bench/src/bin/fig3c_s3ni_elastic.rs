@@ -31,7 +31,8 @@ fn main() {
     harness.rde.switch_and_sync();
     harness.rde.etl_to_olap();
     harness.ingest(1_200, 4, 7);
-    harness.rde.switch_and_sync();
+    // Every point of the sweep reads this one snapshot.
+    let switch = harness.rde.switch_and_sync();
 
     let mut table = ExperimentTable::new(
         "Figure 3(c) — OLTP/OLAP performance at state S3-NI vs OLTP CPUs lent to OLAP",
@@ -44,7 +45,9 @@ fn main() {
     );
 
     for borrowed in [0usize, 2, 4, 6, 8, 10] {
-        let report = harness.rde.migrate_state_s3_non_isolated_with(borrowed);
+        let report = harness
+            .rde
+            .migrate_state_s3_non_isolated_with(switch, borrowed);
         let tables: Vec<&str> = plan.tables();
         let sources = harness.rde.sources_for(&tables, AccessMethod::Split);
         let txn = harness.rde.txn_work();

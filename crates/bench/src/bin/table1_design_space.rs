@@ -105,7 +105,8 @@ fn main() {
         harness.rde.switch_and_sync();
         harness.rde.etl_to_olap();
         harness.ingest(400, 4, 3);
-        let migration = harness.rde.migrate(state);
+        let switch = harness.rde.switch_and_sync();
+        let migration = harness.rde.migrate(state, switch);
         let sources = harness.rde.sources_for(&plan.tables(), migration.access);
         let txn = harness.rde.txn_work();
         let exec = harness

@@ -18,7 +18,9 @@ pub struct DurabilityConfig {
     /// Batch size that triggers an immediate flush without lingering.
     pub max_batch: usize,
     /// Take a column-segment checkpoint (and truncate the WAL) every N
-    /// instance switches; 0 disables periodic checkpoints.
+    /// instance switches; 0 disables periodic checkpoints. Each scheduled
+    /// query switches exactly once, so the default of 2 checkpoints on every
+    /// 2nd scheduled query.
     pub checkpoint_interval_switches: u64,
 }
 
@@ -27,7 +29,7 @@ impl Default for DurabilityConfig {
         DurabilityConfig {
             flush_interval_micros: 100,
             max_batch: 64,
-            checkpoint_interval_switches: 4,
+            checkpoint_interval_switches: 2,
         }
     }
 }
@@ -98,8 +100,7 @@ impl HtapConfig {
 
     /// A configuration scaled like the paper (scale factor `sf`); note that
     /// SF 300 needs a correspondingly large amount of host memory — the
-    /// benchmark harnesses use small scale factors and report the scaling rule
-    /// in EXPERIMENTS.md.
+    /// benchmark harnesses use small scale factors.
     pub fn scale_factor(sf: f64) -> Self {
         HtapConfig {
             chbench: ChConfig::scale_factor(sf),
@@ -202,12 +203,12 @@ mod tests {
             .with_durability(DurabilityConfig {
                 flush_interval_micros: 50,
                 max_batch: 8,
-                checkpoint_interval_switches: 2,
+                checkpoint_interval_switches: 3,
             })
             .with_txn_retries(3, 25);
         assert_eq!(cfg.elastic_cores, 6);
         assert_eq!(cfg.durability.max_batch, 8);
-        assert_eq!(cfg.durability.checkpoint_interval_switches, 2);
+        assert_eq!(cfg.durability.checkpoint_interval_switches, 3);
         assert_eq!(cfg.txn_max_retries, 3);
         assert_eq!(cfg.txn_retry_backoff_micros, 25);
         match cfg.schedule {

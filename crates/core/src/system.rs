@@ -674,6 +674,27 @@ mod tests {
     }
 
     #[test]
+    fn durable_default_checkpoints_every_second_scheduled_query() {
+        let system =
+            HtapSystem::build_durable(HtapConfig::tiny(), Arc::new(crate::MemStorage::new()))
+                .unwrap();
+        let durability = system.rde().oltp().durability().expect("built durable");
+        let start = durability.stats();
+        for queries in 1..=6u64 {
+            assert!(system.run_oltp(1) > 0);
+            system.execute_query(QueryId::Q6).unwrap();
+            let stats = durability.stats();
+            assert_eq!(stats.switches_seen - start.switches_seen, queries);
+            assert_eq!(
+                stats.checkpoints_taken - start.checkpoints_taken,
+                queries / 2,
+                "a checkpoint lands on every 2nd scheduled query"
+            );
+        }
+        assert_eq!(durability.stats().checkpoint_errors, 0);
+    }
+
+    #[test]
     fn batch_follow_up_queries_do_not_pay_scheduling() {
         let system = tiny_system();
         let first = system.execute_batch_query(QueryId::Q6, false).unwrap();

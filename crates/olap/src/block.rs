@@ -3,8 +3,8 @@
 //! A block holds the values of the columns a query needs, for a contiguous
 //! range of rows of one data segment, converted to a uniform numeric
 //! representation (`f64` for arithmetic, `i64` for keys/group identifiers).
-//! Blocks carry the socket the underlying data lives on so that routing and
-//! work accounting stay NUMA-aware.
+//! Blocks carry the socket the underlying data lives on so that work
+//! accounting stays NUMA-aware.
 
 use htap_sim::SocketId;
 use std::collections::BTreeMap;

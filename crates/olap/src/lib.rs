@@ -1,10 +1,10 @@
 //! Vectorised, NUMA-aware OLAP query engine (§3.3 of the paper).
 //!
 //! The engine follows the Proteus design the paper builds on, with one
-//! substitution documented in DESIGN.md: instead of JIT code generation, the
-//! operators are specialised at compile time (monomorphised vectorised
-//! kernels) and process one block of tuples at a time without materialising
-//! intermediate results.
+//! substitution (see "Vectorized execution pipeline" in `ARCHITECTURE.md`):
+//! instead of JIT code generation, the operators are specialised at compile
+//! time (monomorphised vectorised kernels) and process one block of tuples at
+//! a time without materialising intermediate results.
 //!
 //! Components:
 //!
@@ -56,8 +56,6 @@
 //!   cost model converts into modelled time.
 //! * [`error`] — the typed [`OlapError`] every fallible query-path step
 //!   reports.
-//! * [`routing`] — block-routing policies (hash, load-aware, locality-aware)
-//!   that decide which socket's workers consume which data segment.
 //! * [`worker`], [`engine`] — the elastic worker manager (whose granted
 //!   [`htap_sim::CpuSet`] sizes and pins the pipeline [`worker::WorkerTeam`])
 //!   and the engine facade, including the engine-local OLAP storage instance
@@ -79,7 +77,6 @@ pub mod morsel;
 pub mod plan;
 mod program;
 pub mod reference;
-pub mod routing;
 mod scratch;
 pub mod source;
 pub mod worker;
@@ -95,6 +92,5 @@ pub use hashtable::{GroupTable, JoinTable, KeySet};
 pub use morsel::{split_morsels, Morsel};
 pub use plan::{BuildSide, QueryPlan, TopK};
 pub use reference::execute_reference;
-pub use routing::{RoutingPolicy, SegmentAssignment};
 pub use source::{BoundLayout, ScanSegmentSource, ScanSource};
 pub use worker::{OlapWorkerManager, WorkerTeam};

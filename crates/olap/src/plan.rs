@@ -76,7 +76,8 @@ pub struct TopK {
 }
 
 /// A logical/physical query plan (the engine specialises operators per plan
-/// shape at compile time; see DESIGN.md for the code-generation substitution).
+/// shape at compile time; see "Vectorized execution pipeline" in
+/// `ARCHITECTURE.md` for the code-generation substitution).
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryPlan {
     /// Scan → filter → full aggregation (no grouping). CH-Q6 shape.

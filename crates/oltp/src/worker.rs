@@ -11,7 +11,7 @@
 //! [`CoreId`] from `htap-sim`, and the resulting placement is what the
 //! interference model uses to compute modelled throughput. Pinning to host
 //! OS cores is deliberately not performed — the evaluation machine is
-//! simulated (see DESIGN.md).
+//! simulated by `htap-sim` (see "Crate layering" in `ARCHITECTURE.md`).
 
 use htap_sim::{CoreId, CpuSet};
 use parking_lot::{Mutex, RwLock};

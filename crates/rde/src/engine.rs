@@ -559,10 +559,11 @@ mod tests {
         use crate::state::SystemState;
         let rde = engine_with_data(10);
         let wm = rde.oltp().worker_manager();
+        let switch = rde.switch_and_sync();
         // Start the pool while S3-NI has lent 4 OLTP-socket cores away (10
         // active), with capacity for the whole machine so later grants can
         // grow it.
-        rde.migrate(SystemState::S3HybridNonIsolated);
+        rde.migrate(SystemState::S3HybridNonIsolated, switch);
         let capacity = rde.config().topology.total_cores() as usize;
         assert_eq!(wm.start_with_capacity(capacity, |_, _, _| true), capacity);
         assert!(wm.ingest_running());
@@ -570,13 +571,22 @@ mod tests {
 
         // S2 hands the whole socket back: the running pool must grow to 14
         // active workers without restarting.
-        rde.migrate(SystemState::S2Isolated);
+        rde.migrate(SystemState::S2Isolated, switch);
         assert_eq!(wm.active_workers(), 14);
 
         // And shrinking again parks the reclaimed workers.
-        rde.migrate(SystemState::S3HybridNonIsolated);
+        rde.migrate(SystemState::S3HybridNonIsolated, switch);
         assert_eq!(wm.active_workers(), 10);
 
+        // Migrations do not quiesce the pool, so give it time to commit.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while wm.live_counts().committed == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the resized pool committed nothing within 30s"
+            );
+            std::thread::yield_now();
+        }
         let report = wm.stop();
         assert_eq!(report.committed_per_worker.len(), capacity);
         assert!(report.committed() > 0);

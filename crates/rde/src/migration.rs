@@ -1,10 +1,11 @@
 //! State migration — Algorithm 1 of the paper.
 //!
-//! Each migration distributes CPUs (socket- or core-granular), switches the
-//! active OLTP instance so the OLAP engine gets a fresh snapshot, performs an
-//! ETL when the target state requires it, and records the access method the
-//! OLAP engine must use for subsequent queries. The scheduler only *selects*
-//! the state; enforcement happens here.
+//! Each migration follows the instance switch the query's arrival triggered:
+//! it takes that switch's [`SwitchReport`], distributes CPUs (socket- or
+//! core-granular), performs an ETL from the switched snapshot when the target
+//! state requires it, and records the access method the OLAP engine must use
+//! for subsequent queries. The scheduler only *selects* the state;
+//! enforcement happens here.
 
 use crate::engine::{AccessMethod, EtlReport, RdeEngine, SwitchReport};
 use crate::state::SystemState;
@@ -17,7 +18,7 @@ pub struct MigrationReport {
     pub state: SystemState,
     /// The access method the OLAP engine uses in this state.
     pub access: AccessMethod,
-    /// Instance switch + synchronisation outcome.
+    /// The instance switch + synchronisation the migration followed.
     pub switch: SwitchReport,
     /// ETL outcome (only for states that perform one).
     pub etl: Option<EtlReport>,
@@ -34,7 +35,7 @@ impl RdeEngine {
     /// engine keeps its configured minimum number of CPUs and the OLAP engine
     /// receives the rest; the OLAP engine then reads the freshly switched
     /// (now inactive) OLTP instance directly.
-    pub fn migrate_state_s1(&self) -> MigrationReport {
+    pub fn migrate_state_s1(&self, switch: SwitchReport) -> MigrationReport {
         let min = self.config().oltp_min_cores_per_socket;
         let per_socket: Vec<(SocketId, usize)> = self
             .config()
@@ -43,23 +44,17 @@ impl RdeEngine {
             .into_iter()
             .map(|s| (s, min))
             .collect();
-        self.set_oltp_cores_per_socket(&per_socket);
-        let switch = self.switch_and_sync();
-        self.set_current_state(SystemState::S1Colocated);
-        self.finish_report(
-            SystemState::S1Colocated,
-            AccessMethod::OltpSnapshot,
-            switch,
-            None,
-        )
+        self.migrate_state_s1_with(switch, &per_socket)
     }
 
     /// `MigrateStateS1` with an explicit per-socket OLTP CPU distribution
     /// (used by the sensitivity sweeps of Figure 3(a)).
-    pub fn migrate_state_s1_with(&self, oltp_per_socket: &[(SocketId, usize)]) -> MigrationReport {
+    pub fn migrate_state_s1_with(
+        &self,
+        switch: SwitchReport,
+        oltp_per_socket: &[(SocketId, usize)],
+    ) -> MigrationReport {
         self.set_oltp_cores_per_socket(oltp_per_socket);
-        let switch = self.switch_and_sync();
-        self.set_current_state(SystemState::S1Colocated);
         self.finish_report(
             SystemState::S1Colocated,
             AccessMethod::OltpSnapshot,
@@ -70,13 +65,11 @@ impl RdeEngine {
 
     /// `MigrateStateS2`: socket-level isolation plus ETL. The OLTP engine
     /// keeps its configured minimum number of sockets, the OLAP engine gets
-    /// the remaining ones, the fresh delta is copied into the OLAP instance
-    /// and queries run OLAP-local.
-    pub fn migrate_state_s2(&self) -> MigrationReport {
+    /// the remaining ones, the fresh delta of the switched snapshot is copied
+    /// into the OLAP instance and queries run OLAP-local.
+    pub fn migrate_state_s2(&self, switch: SwitchReport) -> MigrationReport {
         self.assign_sockets(self.config().oltp_min_sockets);
-        let switch = self.switch_and_sync();
         let etl = self.etl_to_olap();
-        self.set_current_state(SystemState::S2Isolated);
         self.finish_report(
             SystemState::S2Isolated,
             AccessMethod::OlapLocal,
@@ -88,10 +81,8 @@ impl RdeEngine {
     /// `MigrateStateS3(ISOLATED)`: socket-level compute isolation; the OLAP
     /// engine reads only the fresh records it needs from the OLTP socket over
     /// the interconnect (split access), without updating its own instance.
-    pub fn migrate_state_s3_isolated(&self) -> MigrationReport {
+    pub fn migrate_state_s3_isolated(&self, switch: SwitchReport) -> MigrationReport {
         self.assign_sockets(self.config().oltp_min_sockets);
-        let switch = self.switch_and_sync();
-        self.set_current_state(SystemState::S3HybridIsolated);
         self.finish_report(
             SystemState::S3HybridIsolated,
             AccessMethod::Split,
@@ -104,13 +95,17 @@ impl RdeEngine {
     /// `elastic_cores` CPUs on the OLTP socket (bounded by the OLTP minimum)
     /// and uses split access so the borrowed cores reach fresh data at full
     /// memory bandwidth.
-    pub fn migrate_state_s3_non_isolated(&self) -> MigrationReport {
-        self.migrate_state_s3_non_isolated_with(self.config().elastic_cores)
+    pub fn migrate_state_s3_non_isolated(&self, switch: SwitchReport) -> MigrationReport {
+        self.migrate_state_s3_non_isolated_with(switch, self.config().elastic_cores)
     }
 
     /// `MigrateStateS3(NON-ISOLATED)` with an explicit number of borrowed
     /// cores (used by the sensitivity sweep of Figure 3(c)).
-    pub fn migrate_state_s3_non_isolated_with(&self, borrowed: usize) -> MigrationReport {
+    pub fn migrate_state_s3_non_isolated_with(
+        &self,
+        switch: SwitchReport,
+        borrowed: usize,
+    ) -> MigrationReport {
         let topo = &self.config().topology;
         let oltp_socket = self.config().oltp_socket;
         let min = self.config().oltp_min_cores_per_socket;
@@ -120,8 +115,6 @@ impl RdeEngine {
         // OLTP keeps `keep` cores on its own socket and nothing elsewhere; the
         // OLAP engine owns its socket plus the borrowed OLTP-socket cores.
         self.set_oltp_cores_per_socket(&[(oltp_socket, keep)]);
-        let switch = self.switch_and_sync();
-        self.set_current_state(SystemState::S3HybridNonIsolated);
         self.finish_report(
             SystemState::S3HybridNonIsolated,
             AccessMethod::Split,
@@ -130,16 +123,18 @@ impl RdeEngine {
         )
     }
 
-    /// Migrate to a state using the configured defaults.
-    pub fn migrate(&self, state: SystemState) -> MigrationReport {
+    /// Migrate to a state using the configured defaults, following the
+    /// instance switch reported by `switch`.
+    pub fn migrate(&self, state: SystemState, switch: SwitchReport) -> MigrationReport {
         match state {
-            SystemState::S1Colocated => self.migrate_state_s1(),
-            SystemState::S2Isolated => self.migrate_state_s2(),
-            SystemState::S3HybridIsolated => self.migrate_state_s3_isolated(),
-            SystemState::S3HybridNonIsolated => self.migrate_state_s3_non_isolated(),
+            SystemState::S1Colocated => self.migrate_state_s1(switch),
+            SystemState::S2Isolated => self.migrate_state_s2(switch),
+            SystemState::S3HybridIsolated => self.migrate_state_s3_isolated(switch),
+            SystemState::S3HybridNonIsolated => self.migrate_state_s3_non_isolated(switch),
         }
     }
 
+    /// Record `state` as current and build its report.
     fn finish_report(
         &self,
         state: SystemState,
@@ -147,6 +142,7 @@ impl RdeEngine {
         switch: SwitchReport,
         etl: Option<EtlReport>,
     ) -> MigrationReport {
+        self.set_current_state(state);
         let oltp_cores = self.txn_work().total_workers();
         let olap_cores = self.olap_placement().total_cores();
         let modeled_time = switch.modeled_time + etl.map(|e| e.modeled_time).unwrap_or(0.0);
@@ -190,7 +186,7 @@ mod tests {
     #[test]
     fn s1_colocates_and_reads_the_oltp_snapshot() {
         let rde = rde_with_data(100);
-        let report = rde.migrate(SystemState::S1Colocated);
+        let report = rde.migrate(SystemState::S1Colocated, rde.switch_and_sync());
         assert_eq!(report.state, SystemState::S1Colocated);
         assert_eq!(report.access, AccessMethod::OltpSnapshot);
         assert!(report.etl.is_none());
@@ -207,7 +203,7 @@ mod tests {
     #[test]
     fn s2_isolates_and_performs_etl() {
         let rde = rde_with_data(200);
-        let report = rde.migrate(SystemState::S2Isolated);
+        let report = rde.migrate(SystemState::S2Isolated, rde.switch_and_sync());
         assert_eq!(report.access, AccessMethod::OlapLocal);
         let etl = report.etl.expect("S2 performs an ETL");
         assert_eq!(etl.copied_rows, 200);
@@ -225,13 +221,13 @@ mod tests {
     fn s3_isolated_keeps_sockets_but_uses_split_access() {
         let rde = rde_with_data(150);
         // First bring OLAP up to date, then add fresh rows.
-        rde.migrate(SystemState::S2Isolated);
+        rde.migrate(SystemState::S2Isolated, rde.switch_and_sync());
         for i in 150..200u64 {
             rde.oltp()
                 .bulk_load("sales", i, vec![Value::I64(i as i64), Value::F64(0.0)])
                 .unwrap();
         }
-        let report = rde.migrate(SystemState::S3HybridIsolated);
+        let report = rde.migrate(SystemState::S3HybridIsolated, rde.switch_and_sync());
         assert_eq!(report.access, AccessMethod::Split);
         assert!(report.etl.is_none());
         assert_eq!(report.oltp_cores, 14);
@@ -244,7 +240,7 @@ mod tests {
     #[test]
     fn s3_non_isolated_borrows_elastic_cores() {
         let rde = rde_with_data(100);
-        let report = rde.migrate(SystemState::S3HybridNonIsolated);
+        let report = rde.migrate(SystemState::S3HybridNonIsolated, rde.switch_and_sync());
         assert_eq!(report.access, AccessMethod::Split);
         // Default elastic_cores = 4: OLTP keeps 10, OLAP has 14 + 4.
         assert_eq!(report.oltp_cores, 10);
@@ -252,14 +248,15 @@ mod tests {
         assert_eq!(rde.olap_placement().cores_on(SocketId(0)), 4);
 
         // Borrowing more than the minimum allows is clamped.
-        let report = rde.migrate_state_s3_non_isolated_with(13);
+        let report = rde.migrate_state_s3_non_isolated_with(report.switch, 13);
         assert_eq!(report.oltp_cores, 4, "OLTP never drops below its minimum");
     }
 
     #[test]
     fn sweeping_s1_cpu_distribution() {
         let rde = rde_with_data(100);
-        let report = rde.migrate_state_s1_with(&[(SocketId(0), 7), (SocketId(1), 7)]);
+        let report =
+            rde.migrate_state_s1_with(rde.switch_and_sync(), &[(SocketId(0), 7), (SocketId(1), 7)]);
         assert_eq!(report.oltp_cores, 14);
         assert_eq!(report.olap_cores, 14);
         assert_eq!(rde.txn_work().remote_worker_fraction(), 0.5);
@@ -269,11 +266,19 @@ mod tests {
     #[test]
     fn every_state_is_reachable_via_migrate() {
         let rde = rde_with_data(50);
+        let switch = rde.switch_and_sync();
+        let epoch = rde.oltp().store().table("sales").unwrap().epoch();
         for state in SystemState::all() {
-            let report = rde.migrate(state);
+            let report = rde.migrate(state, switch);
             assert_eq!(report.state, state);
+            assert_eq!(report.switch, switch);
             assert_eq!(rde.current_state(), Some(state));
             assert!(report.oltp_cores > 0);
         }
+        assert_eq!(
+            rde.oltp().store().table("sales").unwrap().epoch(),
+            epoch,
+            "a migration must not switch the active instance"
+        );
     }
 }

@@ -4,8 +4,9 @@
 //! to switch the active OLTP instance so the query can observe all committed
 //! data, (2) measures the per-query freshness quantities, (3) picks a target
 //! state — fixed for static schedules, Algorithm 2 for adaptive ones — and
-//! (4) migrates the system, returning the access paths and the scheduling
-//! overhead (switch + optional ETL) that the query must absorb.
+//! (4) migrates the system from that same snapshot, returning the access
+//! paths and the scheduling overhead (the one switch + optional ETL) that the
+//! query must absorb.
 
 use crate::freshness::{measure, QueryFreshness};
 use crate::schedule::Schedule;
@@ -29,8 +30,8 @@ pub struct ScheduledQuery {
     pub olap_workers: usize,
     /// The freshness picture the decision was based on.
     pub freshness: QueryFreshness,
-    /// Modelled scheduling overhead charged to this query (instance switch,
-    /// synchronisation and — when applicable — ETL).
+    /// Modelled scheduling overhead charged to this query (the one instance
+    /// switch, synchronisation and — when applicable — ETL).
     pub scheduling_time: Seconds,
     /// The full migration report.
     pub migration: MigrationReport,
@@ -87,8 +88,8 @@ impl HtapScheduler {
             Schedule::Static(state) => state,
             Schedule::Adaptive(policy) => policy.decide(&freshness, is_batch).state,
         };
-        // 4. Enforce it.
-        let migration = self.rde.migrate(state);
+        // 4. Enforce it on the snapshot the switch took.
+        let migration = self.rde.migrate(state, switch);
         if migration.etl.is_some() {
             self.etl_count
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -107,7 +108,7 @@ impl HtapScheduler {
                 state: state.label().to_string(),
                 oltp_cores: migration.oltp_cores,
                 olap_cores: migration.olap_cores,
-                modeled_time_s: switch.modeled_time + migration.modeled_time,
+                modeled_time_s: migration.modeled_time,
             });
         }
         let sources = self.rde.sources_for(&tables, migration.access);
@@ -117,7 +118,7 @@ impl HtapScheduler {
             sources,
             olap_workers: self.rde.olap_worker_count(),
             freshness,
-            scheduling_time: switch.modeled_time + migration.modeled_time,
+            scheduling_time: migration.modeled_time,
             migration,
         }
     }
@@ -290,6 +291,58 @@ mod tests {
         );
         let q = scheduler.schedule_query(&plan(), true);
         assert_eq!(q.state, SystemState::S2Isolated, "batches always ETL");
+    }
+
+    #[test]
+    fn each_scheduled_query_switches_every_table_exactly_once() {
+        let rde = rde_with_rows(30);
+        rde.create_table(TableSchema::new(
+            "audit",
+            vec![
+                ColumnDef::new("id", DataType::I64),
+                ColumnDef::new("x", DataType::F64),
+            ],
+            Some(0),
+        ))
+        .unwrap();
+        let epochs = || -> Vec<u64> {
+            rde.oltp()
+                .store()
+                .tables()
+                .iter()
+                .map(|t| t.epoch())
+                .collect()
+        };
+        let mut schedules: Vec<Schedule> = SystemState::all()
+            .into_iter()
+            .map(Schedule::Static)
+            .collect();
+        schedules.push(Schedule::Adaptive(SchedulerPolicy::adaptive_isolated(0.5)));
+        schedules.push(Schedule::Adaptive(SchedulerPolicy::adaptive_non_isolated(
+            0.5,
+        )));
+        let mut key = 30u64;
+        for schedule in schedules {
+            let scheduler = HtapScheduler::new(Arc::clone(&rde), schedule);
+            for is_batch in [false, true] {
+                // Fresh rows in both relations, so every switch has work to do.
+                for table in ["sales", "audit"] {
+                    rde.oltp()
+                        .bulk_load(table, key, vec![Value::I64(key as i64), Value::F64(1.0)])
+                        .unwrap();
+                }
+                key += 1;
+                let before = epochs();
+                scheduler.schedule_query(&plan(), is_batch);
+                let after = epochs();
+                let advanced: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+                assert_eq!(
+                    advanced,
+                    vec![1; before.len()],
+                    "{schedule:?} (batch={is_batch}): one instance switch per query"
+                );
+            }
+        }
     }
 
     #[test]

@@ -17,9 +17,11 @@
 //! reserves one vector).
 //!
 //! This file is its own integration-test binary so the counting global
-//! allocator cannot interfere with other tests, and the measured queries run
-//! on the inline solo worker so no thread-spawn allocations pollute the
-//! count.
+//! allocator cannot interfere with other tests. The tally is per thread:
+//! the test harness runs this file's tests on parallel threads, and each
+//! must count only its own allocations. The measured queries run on the
+//! inline solo worker, so the calling thread sees every allocation they
+//! make.
 
 use adaptive_htap::olap::{
     AggExpr, BuildSide, CmpOp, Predicate, QueryExecutor, QueryPlan, ScalarExpr, ScanSource,
@@ -29,23 +31,34 @@ use adaptive_htap::storage::{
     ColumnDef, ColumnarTable, DataType, TableSchema, TableSnapshot, Value,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A counting wrapper around the system allocator.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so on targets with native
+    // thread-local storage (Linux among them) touching it from inside the
+    // allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails only while the thread's locals are torn down; those
+    // allocations belong to no measurement.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: pure pass-through to the system allocator — every call forwards its
 // arguments unchanged, so `System`'s own GlobalAlloc contract carries over; the
-// only added behaviour is a relaxed atomic counter bump, which cannot allocate.
+// only added behaviour is a thread-local counter bump, which cannot allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: `layout` is forwarded verbatim; the returned pointer is whatever
     // `System.alloc` hands back, with its validity guarantees intact.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: caller upholds GlobalAlloc's contract for `layout`.
         unsafe { System.alloc(layout) }
     }
@@ -61,7 +74,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: same pass-through argument as `alloc`; the counter bump does
     // not touch the allocation being resized.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: caller upholds GlobalAlloc's realloc contract for
         // `ptr`/`layout`/`new_size`; all three forward unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -71,8 +84,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 fn orderline_sources(n: u64) -> BTreeMap<String, ScanSource> {

@@ -58,10 +58,11 @@ fn figure1_shape_etl_amortises_and_cow_taxes_oltp() {
 #[test]
 fn figure3a_shape_trading_cpus_costs_oltp_throughput() {
     let (rde, _) = populated_rde();
+    let switch = rde.switch_and_sync();
     let mut last_idle = f64::INFINITY;
     for traded in [0usize, 4, 8] {
         let keep = 14 - traded;
-        rde.migrate_state_s1_with(&[(SocketId(0), keep), (SocketId(1), traded)]);
+        rde.migrate_state_s1_with(switch, &[(SocketId(0), keep), (SocketId(1), traded)]);
         let idle = rde.modeled_oltp_throughput_idle();
         assert!(
             idle <= last_idle + 1.0,
