@@ -135,7 +135,7 @@ mod tests {
         // Settle the initial load into a first snapshot.
         cow.run_snapshot(&rde, &ch_q6(), 1, 1);
         // Dirty some pages with transactions.
-        let txns = driver.run_new_orders(rde.oltp(), 0, 30, 11);
+        let txns = driver.run_new_orders(rde.oltp(), 0, 30, 11).committed;
         rde.switch_and_sync();
         let point = cow.run_snapshot(&rde, &ch_q6(), 4, txns);
         assert_eq!(point.label, "CoW");
@@ -176,12 +176,14 @@ mod tests {
         // Frequent snapshots: one per query, each after a small txn window.
         let mut frequent_tps = Vec::new();
         for round in 0..4 {
-            let txns = driver.run_new_orders(rde.oltp(), 0, 10, 100 + round);
+            let txns = driver
+                .run_new_orders(rde.oltp(), 0, 10, 100 + round)
+                .committed;
             let p = cow.run_snapshot(&rde, &ch_q6(), 1, txns);
             frequent_tps.push(p.oltp_tps);
         }
         // Rare snapshots: the same amount of transactional work, one snapshot.
-        let txns = driver.run_new_orders(rde.oltp(), 0, 40, 200);
+        let txns = driver.run_new_orders(rde.oltp(), 0, 40, 200).committed;
         let rare = cow.run_snapshot(&rde, &ch_q6(), 4, txns);
 
         let frequent_avg: f64 = frequent_tps.iter().sum::<f64>() / frequent_tps.len() as f64;

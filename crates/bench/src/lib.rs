@@ -167,7 +167,8 @@ impl Harness {
         for w in 0..workers {
             committed += self
                 .driver
-                .run_new_orders(self.rde.oltp(), w, per_worker, seed + w);
+                .run_new_orders(self.rde.oltp(), w, per_worker, seed + w)
+                .committed;
         }
         committed
     }

@@ -406,7 +406,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let params = driver.generate_new_order(1, &mut rng);
         driver.execute_new_order(rde.oltp(), &params).unwrap();
-        assert_eq!(driver.stats().aborted(), 0);
     }
 
     #[test]

@@ -64,8 +64,8 @@ pub struct MixedWorkloadReport {
     /// Transactions committed over the whole run.
     pub transactions_committed: u64,
     /// Transactions aborted over the whole run (NO-WAIT lock conflicts and
-    /// first-committer-wins validation failures), after exhausting any
-    /// configured retries.
+    /// first-committer-wins validation failures): pool transactions that
+    /// gave up after any retries, or aborted sequential NewOrder attempts.
     pub transactions_aborted: u64,
     /// Retry attempts the ingest pool made over the whole run. Disjoint from
     /// `transactions_aborted`: a transaction that commits on its second
@@ -123,10 +123,11 @@ pub fn run_mixed_workload(
     workload: &MixedWorkload,
 ) -> Result<MixedWorkloadReport, OlapError> {
     let mut report = MixedWorkloadReport::default();
-    let aborted_before = system.txn_driver().stats().aborted();
     for sequence_idx in 0..workload.sequences {
         if workload.txns_per_worker_between > 0 {
-            report.transactions_committed += system.run_oltp(workload.txns_per_worker_between);
+            let counts = system.run_oltp(workload.txns_per_worker_between);
+            report.transactions_committed += counts.committed;
+            report.transactions_aborted += counts.aborted;
         }
         let mut seq_report = SequenceReport {
             sequence: sequence_idx,
@@ -143,7 +144,6 @@ pub fn run_mixed_workload(
         }
         report.sequences.push(seq_report);
     }
-    report.transactions_aborted = system.txn_driver().stats().aborted() - aborted_before;
     Ok(report)
 }
 
@@ -187,7 +187,7 @@ impl ConcurrentOptions {
 /// sampled around it rather than the interference model.
 ///
 /// `transactions_committed` / `transactions_aborted` report what the pool
-/// did *during this run* — NO-WAIT aborts are counted, not retried.
+/// did *during this run*, from the pool's per-worker tallies.
 /// `workload.txns_per_worker_between` is ignored: ingest is continuous,
 /// paced only by `options`. A pool this call started is always stopped
 /// before returning, also on error; a pool the caller had already started
@@ -281,6 +281,7 @@ mod tests {
     use super::*;
     use crate::config::HtapConfig;
     use htap_chbench::QueryId;
+    use htap_oltp::OltpCounts;
     use htap_rde::SystemState;
     use htap_scheduler::Schedule;
 
@@ -339,15 +340,23 @@ mod tests {
 
     #[test]
     fn sequential_mode_counts_aborts_from_driver_statistics() {
-        let system = tiny_system();
         let workload = MixedWorkload::figure5(2, 3);
-        let report = run_mixed_workload(&system, &workload).unwrap();
-        // Sequential ingest runs one worker at a time, so whatever the driver
-        // recorded is exactly what the report must surface.
-        assert_eq!(
-            report.transactions_aborted,
-            system.txn_driver().stats().aborted()
-        );
+        let report = run_mixed_workload(&tiny_system(), &workload).unwrap();
+        // Replay the same steps on a twin system: the report must carry
+        // exactly the sum of the counts the driver returned for each batch.
+        let twin = tiny_system();
+        let mut returned = OltpCounts::default();
+        for _ in 0..workload.sequences {
+            returned = returned + twin.run_oltp(workload.txns_per_worker_between);
+            for &query in &workload.sequence.queries {
+                twin.execute_query(query).unwrap();
+            }
+        }
+        assert!(returned.committed > 0);
+        assert_eq!(returned.retried, 0);
+        assert_eq!(report.transactions_committed, returned.committed);
+        assert_eq!(report.transactions_aborted, returned.aborted);
+        assert_eq!(report.transactions_retried, 0);
     }
 
     #[test]

@@ -20,7 +20,6 @@
 pub mod durability;
 pub mod engine;
 pub mod locks;
-pub mod metrics;
 pub mod txn;
 pub mod worker;
 
@@ -29,6 +28,5 @@ pub use durability::{
 };
 pub use engine::{OltpEngine, TableRuntime};
 pub use locks::{LockKey, LockMode, LockTable};
-pub use metrics::ThroughputCounter;
 pub use txn::{Transaction, TxnError, TxnId, TxnManager, TxnOutcome};
 pub use worker::{OltpCounts, RetryPolicy, WorkerManager, WorkerReport};

@@ -14,7 +14,6 @@
 
 use crate::engine::TableRuntime;
 use crate::locks::{LockKey, LockMode, LockTable};
-use crate::metrics::ThroughputCounter;
 use htap_durability::{DurabilityError, Wal, WalOp, WalRecord};
 use htap_storage::{RecordLocation, StorageError, Value};
 use parking_lot::RwLock;
@@ -99,7 +98,6 @@ pub struct TxnManager {
     locks: LockTable,
     clock: AtomicU64,
     next_txn_id: AtomicU64,
-    metrics: ThroughputCounter,
     /// Write-ahead log, when durability is enabled. Commits append their
     /// record and wait for the group-commit fsync *before* applying writes.
     wal: RwLock<Option<Wal>>,
@@ -119,7 +117,6 @@ impl TxnManager {
             locks: LockTable::default(),
             clock: AtomicU64::new(1),
             next_txn_id: AtomicU64::new(1),
-            metrics: ThroughputCounter::new(),
             wal: RwLock::new(None),
         }
     }
@@ -171,11 +168,6 @@ impl TxnManager {
 
     fn next_ts(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// Commit/abort counters.
-    pub fn metrics(&self) -> &ThroughputCounter {
-        &self.metrics
     }
 
     /// Begin a new transaction with a snapshot at the current logical time.
@@ -454,7 +446,6 @@ impl<'a> Transaction<'a> {
         }
 
         self.mgr.locks.release_all(self.id, &self.locks);
-        self.mgr.metrics.record_commit();
         self.finished = true;
         if on {
             let t_end = htap_obs::now_us();
@@ -481,7 +472,6 @@ impl<'a> Transaction<'a> {
 
     fn finish_abort(&mut self) {
         self.mgr.locks.release_all(self.id, &self.locks);
-        self.mgr.metrics.record_abort();
         self.finished = true;
     }
 }
@@ -601,7 +591,6 @@ mod tests {
         );
         t2.abort();
         t1.commit().unwrap();
-        assert_eq!(mgr.metrics().aborted(), 1);
         assert_eq!(mgr.begin().read("accounts", 1, 1).unwrap(), Value::F64(1.0));
     }
 
@@ -680,7 +669,6 @@ mod tests {
             t.update("accounts", 1, 1, Value::F64(0.0)).unwrap();
             // dropped here without commit
         }
-        assert_eq!(mgr.metrics().aborted(), 1);
         let mut t = mgr.begin();
         assert!(t.update("accounts", 1, 1, Value::F64(42.0)).is_ok());
     }

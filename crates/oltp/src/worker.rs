@@ -15,46 +15,16 @@
 
 use htap_sim::{CoreId, CpuSet};
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Result of a worker-pool run.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WorkerReport {
-    /// Transactions committed, per worker.
-    pub committed_per_worker: Vec<u64>,
-    /// Transactions that gave up (aborted on their final attempt), per worker.
-    pub aborted_per_worker: Vec<u64>,
-    /// Retry attempts (an aborted attempt that was tried again), per worker.
-    /// Disjoint from `aborted_per_worker`: a transaction that fails twice and
-    /// then commits contributes 2 retries, 1 commit and 0 aborts.
-    pub retried_per_worker: Vec<u64>,
-}
-
-impl WorkerReport {
-    /// Total committed transactions.
-    pub fn committed(&self) -> u64 {
-        self.committed_per_worker.iter().sum()
-    }
-
-    /// Total transactions that gave up.
-    pub fn aborted(&self) -> u64 {
-        self.aborted_per_worker.iter().sum()
-    }
-
-    /// Total retry attempts.
-    pub fn retried(&self) -> u64 {
-        self.retried_per_worker.iter().sum()
-    }
-}
-
-/// One consistent snapshot of the live ingest counters.
+/// Commit, abort and retry totals of OLTP work.
 ///
-/// Produced by a seqlock read of [`CountsCell`], so the three totals belong
-/// to the same instant — unlike summing three per-worker atomic vectors,
-/// where commits landing between the sums could show, e.g., a retry without
-/// its eventual commit.
+/// `aborted` counts transactions that gave up (aborted on their final
+/// attempt); `retried` counts re-attempts and is disjoint from it: a
+/// transaction that fails twice and then commits contributes 2 retries,
+/// 1 commit and 0 aborts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OltpCounts {
     /// Transactions committed.
@@ -65,54 +35,92 @@ pub struct OltpCounts {
     pub retried: u64,
 }
 
-/// Seqlock-protected counter triple: writers serialize through an odd/even
-/// sequence word; readers retry until they observe the same even sequence
-/// on both sides of the payload read, guaranteeing a torn-free snapshot.
-/// Writes are one CAS + three relaxed adds — cheap enough for once per
-/// transaction outcome.
+impl std::ops::Add for OltpCounts {
+    type Output = OltpCounts;
+
+    fn add(self, other: OltpCounts) -> OltpCounts {
+        OltpCounts {
+            committed: self.committed + other.committed,
+            aborted: self.aborted + other.aborted,
+            retried: self.retried + other.retried,
+        }
+    }
+}
+
+impl std::iter::Sum for OltpCounts {
+    fn sum<I: Iterator<Item = OltpCounts>>(iter: I) -> OltpCounts {
+        iter.fold(OltpCounts::default(), |a, b| a + b)
+    }
+}
+
+/// Final counts of a stopped ingest pool.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct WorkerReport {
+    /// Each worker's tally, in worker order.
+    pub per_worker: Vec<OltpCounts>,
+}
+
+impl WorkerReport {
+    /// Totals over every worker.
+    pub fn total(&self) -> OltpCounts {
+        self.per_worker.iter().copied().sum()
+    }
+
+    /// Total committed transactions.
+    pub fn committed(&self) -> u64 {
+        self.total().committed
+    }
+
+    /// Total transactions that gave up.
+    pub fn aborted(&self) -> u64 {
+        self.total().aborted
+    }
+
+    /// Total retry attempts.
+    pub fn retried(&self) -> u64 {
+        self.total().retried
+    }
+}
+
+/// One ingest worker's outcome tally — the only record of its commits,
+/// aborts and retries. Only the owning worker writes it, so a write needs
+/// no CAS: the sequence word goes odd, one field is bumped, and the word
+/// goes even again. Readers retry until they see the same even sequence on
+/// both sides of the payload, so a snapshot never tears. Aligned to its own
+/// cache line so neighbouring workers do not share one.
 #[derive(Debug, Default)]
-struct CountsCell {
+#[repr(align(64))]
+struct Tally {
     seq: AtomicU64,
     committed: AtomicU64,
     aborted: AtomicU64,
     retried: AtomicU64,
 }
 
-impl CountsCell {
-    fn add(&self, committed: u64, aborted: u64, retried: u64) {
-        loop {
-            let s = self.seq.load(Ordering::Relaxed);
-            if s & 1 == 0
-                && self
-                    .seq
-                    .compare_exchange_weak(s, s + 1, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                self.committed.fetch_add(committed, Ordering::Relaxed);
-                self.aborted.fetch_add(aborted, Ordering::Relaxed);
-                self.retried.fetch_add(retried, Ordering::Relaxed);
-                self.seq.store(s + 2, Ordering::Release);
-                return;
-            }
-            std::hint::spin_loop();
-        }
+impl Tally {
+    /// Add one to `field`, which must be one of this tally's counters.
+    /// Called by the owning worker only.
+    fn bump(&self, field: &AtomicU64) {
+        let s = self.seq.load(Ordering::Relaxed);
+        self.seq.store(s + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
+        field.store(field.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        self.seq.store(s + 2, Ordering::Release);
     }
 
     fn read(&self) -> OltpCounts {
         loop {
             let s1 = self.seq.load(Ordering::Acquire);
-            if s1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let snapshot = OltpCounts {
-                committed: self.committed.load(Ordering::Relaxed),
-                aborted: self.aborted.load(Ordering::Relaxed),
-                retried: self.retried.load(Ordering::Relaxed),
-            };
-            std::sync::atomic::fence(Ordering::Acquire);
-            if self.seq.load(Ordering::Relaxed) == s1 {
-                return snapshot;
+            if s1 & 1 == 0 {
+                let snapshot = OltpCounts {
+                    committed: self.committed.load(Ordering::Relaxed),
+                    aborted: self.aborted.load(Ordering::Relaxed),
+                    retried: self.retried.load(Ordering::Relaxed),
+                };
+                fence(Ordering::Acquire);
+                if self.seq.load(Ordering::Relaxed) == s1 {
+                    return snapshot;
+                }
             }
             std::hint::spin_loop();
         }
@@ -208,38 +216,17 @@ impl PoolState {
     }
 }
 
-/// Live counters of a continuously running pool.
+/// State shared by the threads of a continuously running pool.
 #[derive(Debug)]
 struct IngestShared {
-    committed: Vec<AtomicU64>,
-    aborted: Vec<AtomicU64>,
-    retried: Vec<AtomicU64>,
-    /// Consistent-snapshot mirror of the per-worker vectors, updated in the
-    /// same places — [`WorkerManager::live_counts`] reads this instead of
-    /// summing the vectors so its triple never tears.
-    counts: CountsCell,
+    /// One tally per worker, indexed by worker id.
+    tallies: Vec<Tally>,
     stop: AtomicBool,
 }
 
 impl IngestShared {
-    fn report(&self) -> WorkerReport {
-        WorkerReport {
-            committed_per_worker: self
-                .committed
-                .iter()
-                .map(|c| c.load(Ordering::Acquire))
-                .collect(),
-            aborted_per_worker: self
-                .aborted
-                .iter()
-                .map(|a| a.load(Ordering::Acquire))
-                .collect(),
-            retried_per_worker: self
-                .retried
-                .iter()
-                .map(|r| r.load(Ordering::Acquire))
-                .collect(),
-        }
+    fn snapshots(&self) -> impl Iterator<Item = OltpCounts> + '_ {
+        self.tallies.iter().map(Tally::read)
     }
 }
 
@@ -350,10 +337,7 @@ impl WorkerManager {
             return 0;
         }
         let shared = Arc::new(IngestShared {
-            committed: (0..pool_size).map(|_| AtomicU64::new(0)).collect(),
-            aborted: (0..pool_size).map(|_| AtomicU64::new(0)).collect(),
-            retried: (0..pool_size).map(|_| AtomicU64::new(0)).collect(),
-            counts: CountsCell::default(),
+            tallies: (0..pool_size).map(|_| Tally::default()).collect(),
             stop: AtomicBool::new(false),
         });
         let body = Arc::new(body);
@@ -366,13 +350,9 @@ impl WorkerManager {
                     .name(format!("oltp-ingest-{worker_id}"))
                     .spawn(move || {
                         // Route this thread's ring events (commit, abort,
-                        // retry) to its own oltp-ingest lane, and fetch the
-                        // named-counter handles once — increments on the
-                        // transaction path are then relaxed atomic adds.
+                        // retry) to its own oltp-ingest lane.
                         htap_obs::bind_thread_oltp(worker_id);
-                        let m_committed = htap_obs::counter("oltp.txn.committed");
-                        let m_aborted = htap_obs::counter("oltp.txn.aborted");
-                        let m_retried = htap_obs::counter("oltp.txn.retried");
+                        let tally = &shared.tallies[worker_id];
                         // The worker's core, when it is inside the current
                         // grant (active and with an assigned affinity slot).
                         let granted_core = |state: &PoolState| {
@@ -397,18 +377,14 @@ impl WorkerManager {
                             let mut attempt = 0u32;
                             loop {
                                 if body(worker_id, core, txn_index) {
-                                    shared.committed[worker_id].fetch_add(1, Ordering::Release);
-                                    shared.counts.add(1, 0, 0);
-                                    m_committed.inc();
+                                    tally.bump(&tally.committed);
                                     break;
                                 }
                                 let policy = *state.retry.read();
                                 if attempt >= policy.max_retries
                                     || shared.stop.load(Ordering::Acquire)
                                 {
-                                    shared.aborted[worker_id].fetch_add(1, Ordering::Release);
-                                    shared.counts.add(0, 1, 0);
-                                    m_aborted.inc();
+                                    tally.bump(&tally.aborted);
                                     htap_obs::record_thread(
                                         htap_obs::EventKind::TxnAbort,
                                         htap_obs::now_us(),
@@ -418,9 +394,7 @@ impl WorkerManager {
                                     break;
                                 }
                                 attempt += 1;
-                                shared.retried[worker_id].fetch_add(1, Ordering::Release);
-                                shared.counts.add(0, 0, 1);
-                                m_retried.inc();
+                                tally.bump(&tally.retried);
                                 htap_obs::record_thread(
                                     htap_obs::EventKind::TxnRetry,
                                     htap_obs::now_us(),
@@ -451,14 +425,16 @@ impl WorkerManager {
     /// Live totals of the running ingest pool — sampled without stopping it,
     /// so callers can derive measured OLTP throughput around each analytical
     /// query. `aborted` counts transactions that gave up; `retried` counts
-    /// re-attempts that are NOT in `aborted`. All three fields come from one
-    /// seqlock snapshot, so they are mutually consistent (a commit and the
-    /// retries that preceded it are either both visible or both not).
+    /// re-attempts that are NOT in `aborted`. The sum of one torn-free
+    /// snapshot per worker: each worker's triple is exact as of some moment
+    /// of its own, and every field only grows from one call to the next.
+    /// A retry is counted when its attempt aborts, so a snapshot can show
+    /// retries of a transaction whose commit or abort has not landed yet.
     /// Zeroes when no pool runs. Allocation-free: pacing loops poll this at
     /// high frequency.
     pub fn live_counts(&self) -> OltpCounts {
         match self.ingest.lock().as_ref() {
-            Some(pool) => pool.shared.counts.read(),
+            Some(pool) => pool.shared.snapshots().sum(),
             None => OltpCounts::default(),
         }
     }
@@ -468,14 +444,15 @@ impl WorkerManager {
     /// parked or resumed.
     pub fn per_worker_committed(&self) -> Vec<u64> {
         match self.ingest.lock().as_ref() {
-            Some(pool) => pool.shared.report().committed_per_worker,
+            Some(pool) => pool.shared.snapshots().map(|c| c.committed).collect(),
             None => Vec::new(),
         }
     }
 
     /// Stop the long-running ingest pool: signal every thread, join them and
-    /// return the final per-worker counts. A no-op returning an empty report
-    /// when no pool is running.
+    /// return the final per-worker counts, whose totals are added to the
+    /// `oltp.txn.{committed,aborted,retried}` registry counters. A no-op
+    /// returning an empty report when no pool is running.
     pub fn stop(&self) -> WorkerReport {
         let Some(pool) = self.ingest.lock().take() else {
             return WorkerReport::default();
@@ -486,83 +463,17 @@ impl WorkerManager {
             // A panicked worker must not panic stop(): it is reachable from
             // Drop during unwinding, where a second panic aborts the whole
             // process and masks the original failure. The worker's partial
-            // counts are still in the shared counters.
+            // counts are still in its tally.
             let _ = handle.join();
         }
-        pool.shared.report()
-    }
-
-    /// Run `txns_per_worker` transactions on every active worker, in
-    /// parallel. The body receives `(worker_id, core, txn_index)` and returns
-    /// whether the transaction committed. Returns per-worker counts.
-    pub fn run<F>(&self, txns_per_worker: u64, body: F) -> WorkerReport
-    where
-        F: Fn(usize, CoreId, u64) -> bool + Sync,
-    {
-        let cores = self.affinity();
-        if cores.is_empty() {
-            return WorkerReport::default();
-        }
-        let mut committed = vec![0u64; cores.len()];
-        let mut aborted = vec![0u64; cores.len()];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = cores
-                .iter()
-                .enumerate()
-                .map(|(worker_id, &core)| {
-                    let body = &body;
-                    scope.spawn(move || {
-                        let mut c = 0u64;
-                        let mut a = 0u64;
-                        for txn_index in 0..txns_per_worker {
-                            if body(worker_id, core, txn_index) {
-                                c += 1;
-                            } else {
-                                a += 1;
-                            }
-                        }
-                        (c, a)
-                    })
-                })
-                .collect();
-            for (i, h) in handles.into_iter().enumerate() {
-                let (c, a) = h.join().expect("worker panicked");
-                committed[i] = c;
-                aborted[i] = a;
-            }
-        });
-        let workers = committed.len();
-        WorkerReport {
-            committed_per_worker: committed,
-            aborted_per_worker: aborted,
-            retried_per_worker: vec![0; workers],
-        }
-    }
-
-    /// Run the workers sequentially on the calling thread (deterministic mode
-    /// used by benchmarks on single-core hosts). Semantics match [`Self::run`].
-    pub fn run_sequential<F>(&self, txns_per_worker: u64, mut body: F) -> WorkerReport
-    where
-        F: FnMut(usize, CoreId, u64) -> bool,
-    {
-        let cores = self.affinity();
-        let mut committed = vec![0u64; cores.len()];
-        let mut aborted = vec![0u64; cores.len()];
-        for (worker_id, &core) in cores.iter().enumerate() {
-            for txn_index in 0..txns_per_worker {
-                if body(worker_id, core, txn_index) {
-                    committed[worker_id] += 1;
-                } else {
-                    aborted[worker_id] += 1;
-                }
-            }
-        }
-        let workers = committed.len();
-        WorkerReport {
-            committed_per_worker: committed,
-            aborted_per_worker: aborted,
-            retried_per_worker: vec![0; workers],
-        }
+        let report = WorkerReport {
+            per_worker: pool.shared.snapshots().collect(),
+        };
+        let total = report.total();
+        htap_obs::counter("oltp.txn.committed").add(total.committed);
+        htap_obs::counter("oltp.txn.aborted").add(total.aborted);
+        htap_obs::counter("oltp.txn.retried").add(total.retried);
+        report
     }
 }
 
@@ -598,44 +509,22 @@ mod tests {
         assert_eq!(empty.set_active_workers(4), 0);
     }
 
-    #[test]
-    fn parallel_run_counts_commits_and_aborts() {
-        let wm = WorkerManager::new();
-        wm.set_workers(&cores(4));
-        // Every third transaction "aborts".
-        let report = wm.run(30, |_, _, i| i % 3 != 0);
-        assert_eq!(report.committed_per_worker.len(), 4);
-        assert_eq!(report.committed(), 4 * 20);
-        assert_eq!(report.aborted(), 4 * 10);
+    /// Stopping a pool adds to the process-wide `oltp.txn.*` counters, so
+    /// tests that start pools run one at a time: a test can then compare
+    /// the registry delta with its own pool's report exactly.
+    fn pool_test_lock() -> parking_lot::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock()
     }
 
-    #[test]
-    fn sequential_run_matches_parallel_semantics() {
-        let wm = WorkerManager::new();
-        wm.set_workers(&cores(3));
-        let report = wm.run_sequential(10, |_, _, i| i % 2 == 0);
-        assert_eq!(report.committed(), 15);
-        assert_eq!(report.aborted(), 15);
-    }
-
-    #[test]
-    fn workers_receive_their_assigned_core() {
-        let topology = Topology::two_socket();
-        let wm = WorkerManager::new();
-        wm.set_workers(&CpuSet::socket(&topology, SocketId(1)));
-        let report = wm.run(1, |worker_id, core, _| {
-            // Workers are enumerated over socket-1 cores in ascending order.
-            core == CoreId(14 + worker_id as u16)
-        });
-        assert_eq!(report.committed(), 14, "every worker must see its own core");
-    }
-
-    #[test]
-    fn empty_pool_runs_nothing() {
-        let wm = WorkerManager::new();
-        let report = wm.run(100, |_, _, _| true);
-        assert_eq!(report.committed(), 0);
-        assert_eq!(report.aborted(), 0);
+    fn registry_txn_counts() -> OltpCounts {
+        let counters = htap_obs::metrics_snapshot().counters;
+        let get = |name| counters.get(name).copied().unwrap_or(0);
+        OltpCounts {
+            committed: get("oltp.txn.committed"),
+            aborted: get("oltp.txn.aborted"),
+            retried: get("oltp.txn.retried"),
+        }
     }
 
     fn wait_until(mut condition: impl FnMut() -> bool) {
@@ -651,6 +540,7 @@ mod tests {
 
     #[test]
     fn long_running_pool_counts_live_and_reports_on_stop() {
+        let _lock = pool_test_lock();
         let wm = WorkerManager::new();
         wm.set_workers(&cores(2));
         // Every fourth transaction "aborts".
@@ -664,7 +554,7 @@ mod tests {
         });
         let report = wm.stop();
         assert!(!wm.ingest_running());
-        assert_eq!(report.committed_per_worker.len(), 2);
+        assert_eq!(report.per_worker.len(), 2);
         assert!(report.committed() > 0);
         assert!(report.aborted() > 0);
         // No retry policy was configured: aborts are final, nothing retried.
@@ -676,6 +566,7 @@ mod tests {
 
     #[test]
     fn long_running_pool_resizes_mid_flight() {
+        let _lock = pool_test_lock();
         let wm = WorkerManager::new();
         wm.set_workers(&cores(4));
         assert_eq!(wm.start(|_, _, _| true), 4);
@@ -706,11 +597,12 @@ mod tests {
             (1..4).all(|w| now[w] > later[w] + 1)
         });
         let report = wm.stop();
-        assert_eq!(report.committed_per_worker.len(), 4);
+        assert_eq!(report.per_worker.len(), 4);
     }
 
     #[test]
     fn retries_recover_transient_aborts_and_are_counted_separately() {
+        let _lock = pool_test_lock();
         use std::collections::HashMap;
         use std::sync::Mutex;
         let wm = WorkerManager::new();
@@ -753,6 +645,69 @@ mod tests {
     }
 
     #[test]
+    fn every_attempt_is_counted_exactly_once() {
+        let _lock = pool_test_lock();
+        let wm = WorkerManager::new();
+        wm.set_workers(&cores(2));
+        wm.set_retry_policy(RetryPolicy {
+            max_retries: 2,
+            backoff_micros: 0,
+        });
+        // Per worker, every cycle of seven calls is: fail, fail, commit
+        // (two retries, one commit); commit; fail, fail, fail (two retries,
+        // then the transaction gives up).
+        let calls: Arc<Vec<AtomicU64>> = Arc::new((0..2).map(|_| AtomicU64::new(0)).collect());
+        let body_calls = Arc::clone(&calls);
+        let registry_before = registry_txn_counts();
+        assert_eq!(
+            wm.start(move |worker, _, _| {
+                let n = body_calls[worker].fetch_add(1, Ordering::Relaxed);
+                matches!(n % 7, 2 | 3)
+            }),
+            2
+        );
+        wait_until(|| {
+            let c = wm.live_counts();
+            c.committed >= 10 && c.aborted >= 2 && c.retried >= 10
+        });
+        let report = wm.stop();
+        for (worker, counts) in report.per_worker.iter().enumerate() {
+            assert_eq!(
+                calls[worker].load(Ordering::Relaxed),
+                counts.committed + counts.aborted + counts.retried,
+                "worker {worker}: {counts:?}"
+            );
+        }
+        let registry_after = registry_txn_counts();
+        assert_eq!(
+            OltpCounts {
+                committed: registry_after.committed - registry_before.committed,
+                aborted: registry_after.aborted - registry_before.aborted,
+                retried: registry_after.retried - registry_before.retried,
+            },
+            report.total()
+        );
+    }
+
+    #[test]
+    fn workers_receive_their_assigned_core() {
+        let _lock = pool_test_lock();
+        let topology = Topology::two_socket();
+        let wm = WorkerManager::new();
+        wm.set_workers(&CpuSet::socket(&topology, SocketId(1)));
+        // Workers are enumerated over socket-1 cores in ascending order; a
+        // worker handed any other core aborts.
+        assert_eq!(
+            wm.start(|worker_id, core, _| core == CoreId(14 + worker_id as u16)),
+            14
+        );
+        wait_until(|| wm.per_worker_committed().iter().all(|&c| c > 0));
+        let report = wm.stop();
+        assert_eq!(report.per_worker.len(), 14);
+        assert_eq!(report.aborted(), 0, "every worker must see its own core");
+    }
+
+    #[test]
     fn retry_backoff_is_deterministic_jittered_and_bounded() {
         let p = RetryPolicy {
             max_retries: 5,
@@ -780,6 +735,7 @@ mod tests {
 
     #[test]
     fn starting_an_empty_pool_spawns_nothing() {
+        let _lock = pool_test_lock();
         let wm = WorkerManager::new();
         assert_eq!(wm.start(|_, _, _| true), 0);
         assert!(!wm.ingest_running());
@@ -787,6 +743,7 @@ mod tests {
 
     #[test]
     fn pool_grows_beyond_its_start_time_grant_up_to_capacity() {
+        let _lock = pool_test_lock();
         let wm = WorkerManager::new();
         wm.set_workers(&cores(2));
         // Capacity for 4 workers even though only 2 cores are granted now.
@@ -803,7 +760,7 @@ mod tests {
             (2..4).all(|w| now[w] > before[w])
         });
         let report = wm.stop();
-        assert_eq!(report.committed_per_worker.len(), 4);
-        assert!(report.committed_per_worker.iter().all(|&c| c > 0));
+        assert_eq!(report.per_worker.len(), 4);
+        assert!(report.per_worker.iter().all(|c| c.committed > 0));
     }
 }

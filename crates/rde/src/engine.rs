@@ -588,7 +588,7 @@ mod tests {
             std::thread::yield_now();
         }
         let report = wm.stop();
-        assert_eq!(report.committed_per_worker.len(), capacity);
+        assert_eq!(report.per_worker.len(), capacity);
         assert!(report.committed() > 0);
     }
 

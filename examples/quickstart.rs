@@ -17,7 +17,7 @@ fn main() -> Result<(), String> {
     );
 
     // The transactional queue: NewOrder transactions on every worker.
-    let committed = system.run_oltp(200);
+    let committed = system.run_oltp(200).committed;
     println!("ingested {committed} NewOrder transactions");
 
     // Analytical queries arrive one by one; the scheduler picks a state for

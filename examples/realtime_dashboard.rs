@@ -23,7 +23,7 @@ fn main() -> Result<(), String> {
     let mut total_fresh = 0u64;
     for tick in 0..12 {
         // Transactions stream in between dashboard refreshes.
-        let committed = system.run_oltp(50);
+        let committed = system.run_oltp(50).committed;
         // The dashboard refresh is a cheap scan-heavy query over the newest data.
         let report = system
             .execute_query(QueryId::Q6)

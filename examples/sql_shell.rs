@@ -36,7 +36,7 @@ fn main() -> Result<(), String> {
         system.rde().describe_resources()
     );
     // A transactional queue so freshness and fresh-row counts are non-trivial.
-    let committed = system.run_oltp(100);
+    let committed = system.run_oltp(100).committed;
     println!("ingested {committed} transactions; OLAP instance is now stale\n");
 
     if queries.is_empty() {

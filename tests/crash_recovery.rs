@@ -54,13 +54,13 @@ fn clean_shutdown_recovers_bit_identical() {
     let disk = MemStorage::new();
     let before = {
         let system = HtapSystem::build_durable(config(), Arc::new(disk.clone())).unwrap();
-        assert!(system.run_oltp(10) > 0);
+        assert!(system.run_oltp(10).committed > 0);
         digest(&system)
     };
     let system = HtapSystem::build_durable(config(), Arc::new(disk.clone())).unwrap();
     assert_eq!(digest(&system), before);
     // The recovered system keeps working — and keeps logging.
-    assert!(system.run_oltp(1) > 0);
+    assert!(system.run_oltp(1).committed > 0);
 }
 
 #[test]
@@ -93,7 +93,7 @@ fn mid_ingest_kill_recovers_exactly_the_durable_commits() {
     injector.resume();
     let system = HtapSystem::build_durable(config(), Arc::new(disk.clone())).unwrap();
     assert_eq!(digest(&system), committed_prefix);
-    assert!(system.run_oltp(1) > 0);
+    assert!(system.run_oltp(1).committed > 0);
 }
 
 #[test]
@@ -104,10 +104,10 @@ fn kill_during_checkpoint_falls_back_to_previous_checkpoint_plus_tail() {
         Arc::new(FaultStorage::new(Arc::new(disk.clone()), injector.clone()));
     let before = {
         let system = HtapSystem::build_durable(config(), faulty).unwrap();
-        assert!(system.run_oltp(5) > 0);
+        assert!(system.run_oltp(5).committed > 0);
         // A first checkpoint succeeds and truncates the WAL...
         assert!(system.checkpoint_now().unwrap());
-        assert!(system.run_oltp(5) > 0);
+        assert!(system.run_oltp(5).committed > 0);
         // ...then the next one dies mid-write. Atomic replace means the
         // on-disk checkpoint still holds the previous snapshot, and the WAL
         // tail (everything after it) was never truncated.
@@ -118,7 +118,7 @@ fn kill_during_checkpoint_falls_back_to_previous_checkpoint_plus_tail() {
     injector.set_fail_atomic_writes(false);
     let system = HtapSystem::build_durable(config(), Arc::new(disk.clone())).unwrap();
     assert_eq!(digest(&system), before);
-    assert!(system.run_oltp(1) > 0);
+    assert!(system.run_oltp(1).committed > 0);
 }
 
 #[test]
@@ -126,7 +126,7 @@ fn torn_wal_tail_recovers_exactly_the_valid_prefix() {
     let disk = MemStorage::new();
     let before = {
         let system = HtapSystem::build_durable(config(), Arc::new(disk.clone())).unwrap();
-        assert!(system.run_oltp(10) > 0);
+        assert!(system.run_oltp(10).committed > 0);
         digest(&system)
     };
     let wal = disk.bytes(WAL_FILE).unwrap();
@@ -161,5 +161,5 @@ fn torn_wal_tail_recovers_exactly_the_valid_prefix() {
     // Recovery repaired the file in place: the torn bytes are gone from disk
     // and new commits append cleanly after the valid prefix.
     assert_eq!(torn_disk.bytes(WAL_FILE).unwrap().len(), boundary);
-    assert!(torn.run_oltp(1) > 0);
+    assert!(torn.run_oltp(1).committed > 0);
 }

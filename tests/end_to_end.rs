@@ -19,7 +19,7 @@ fn transactions_become_visible_to_analytics_under_every_schedule() {
     ] {
         let system = tiny_system_with_schedule(schedule);
         let before = system.execute_query(QueryId::Q6).unwrap();
-        let committed = system.run_oltp(10);
+        let committed = system.run_oltp(10).committed;
         assert!(committed > 0);
         let after = system.execute_query(QueryId::Q6).unwrap();
         // The orderline relation only grows, so the count of scanned tuples
@@ -203,7 +203,7 @@ fn concurrent_oltp_and_analytics_preserve_correctness() {
         std::thread::spawn(move || {
             let mut committed = 0;
             for _ in 0..4 {
-                committed += system.run_oltp_parallel(3);
+                committed += system.run_oltp_parallel(3).committed;
             }
             committed
         })

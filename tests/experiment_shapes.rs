@@ -39,7 +39,7 @@ fn figure1_shape_etl_amortises_and_cow_taxes_oltp() {
         etl_single.avg_query_time()
     );
 
-    let txns = driver.run_new_orders(rde.oltp(), 0, 30, 3);
+    let txns = driver.run_new_orders(rde.oltp(), 0, 30, 3).committed;
     let cow_point = cow.run_snapshot(&rde, &ch_q6(), 16, txns);
     assert_eq!(
         cow_point.data_transfer_time, 0.0,

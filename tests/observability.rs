@@ -26,7 +26,7 @@ fn find_span<'a>(spans: &'a [obs::Span], name: &str) -> Option<&'a obs::Span> {
 }
 
 /// Run the continuous ingest pool until at least `commits` transactions
-/// committed, returning the consistent counts snapshot sampled live.
+/// committed, returning the stopped pool's totals.
 fn ingest_at_least(system: &HtapSystem, commits: u64) -> adaptive_htap::oltp::OltpCounts {
     assert!(system.start_oltp_ingest() > 0);
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -34,9 +34,15 @@ fn ingest_at_least(system: &HtapSystem, commits: u64) -> adaptive_htap::oltp::Ol
         assert!(Instant::now() < deadline, "ingest never reached {commits}");
         std::thread::yield_now();
     }
-    let live = system.oltp_live_counts();
-    system.stop_oltp_ingest();
-    live
+    system.stop_oltp_ingest().total()
+}
+
+fn committed_counter() -> u64 {
+    obs::metrics_snapshot()
+        .counters
+        .get("oltp.txn.committed")
+        .copied()
+        .unwrap_or(0)
 }
 
 #[test]
@@ -46,9 +52,10 @@ fn a_real_run_populates_spans_events_decisions_and_metrics() {
     let system = HtapSystem::build(HtapConfig::tiny()).expect("system builds");
     let events_before = obs::obs().event_totals().recorded;
     let decisions_before = obs::decisions_snapshot().len();
+    let counter_before = committed_counter();
 
-    let live = ingest_at_least(&system, 20);
-    assert!(live.committed >= 20);
+    let pool = ingest_at_least(&system, 20);
+    assert!(pool.committed >= 20);
     let report = system.execute_query(QueryId::Q6).expect("Q6 executes");
     assert!(report.result_rows >= 1);
     let sql_report = system
@@ -98,18 +105,10 @@ fn a_real_run_populates_spans_events_decisions_and_metrics() {
     assert!(!last.state.is_empty() && !last.action.is_empty());
     assert!((0.0..=1.0).contains(&last.freshness));
 
-    // Metrics registry: the standing counters and histograms moved.
+    // Metrics registry: the standing counters and histograms moved. The
+    // commit counter moved by exactly what the stopped pool reported.
+    assert_eq!(committed_counter() - counter_before, pool.committed);
     let snapshot = obs::metrics_snapshot();
-    let committed_counter = snapshot
-        .counters
-        .get("oltp.txn.committed")
-        .copied()
-        .unwrap_or(0);
-    assert!(
-        committed_counter >= live.committed,
-        "committed counter ({committed_counter}) lags the live snapshot ({})",
-        live.committed
-    );
     let freshness = snapshot
         .histograms
         .get("query.freshness_ppm")
@@ -117,7 +116,7 @@ fn a_real_run_populates_spans_events_decisions_and_metrics() {
     assert!(freshness.count >= 2);
     assert!(freshness.max <= 1_000_000);
 
-    // With the pool stopped, the seqlock snapshot reads all-zero.
+    // With the pool stopped, the live counts read all-zero.
     assert_eq!(
         system.oltp_live_counts(),
         adaptive_htap::oltp::OltpCounts::default()
@@ -153,12 +152,8 @@ fn disabling_tracing_stops_recording_but_not_the_metrics_registry() {
     obs::set_enabled(false);
     let events_before = obs::obs().event_totals().recorded;
     let spans_before = obs::spans_snapshot().len();
-    let counter_before = obs::metrics_snapshot()
-        .counters
-        .get("oltp.txn.committed")
-        .copied()
-        .unwrap_or(0);
-    let live = ingest_at_least(&system, 5);
+    let counter_before = committed_counter();
+    let pool = ingest_at_least(&system, 5);
     system.execute_query(QueryId::Q1).expect("Q1 executes");
     assert_eq!(
         obs::obs().event_totals().recorded,
@@ -171,11 +166,6 @@ fn disabling_tracing_stops_recording_but_not_the_metrics_registry() {
         "disabled tracing must not open spans"
     );
     // The registry is a separate concern: counters keep counting.
-    let committed_counter = obs::metrics_snapshot()
-        .counters
-        .get("oltp.txn.committed")
-        .copied()
-        .unwrap_or(0);
-    assert!(committed_counter >= counter_before + live.committed);
+    assert_eq!(committed_counter() - counter_before, pool.committed);
     obs::set_enabled(true);
 }
