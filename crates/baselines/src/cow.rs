@@ -39,7 +39,8 @@ impl CowBaseline {
         for twin in rde.oltp().store().tables() {
             let row_bytes = twin.schema().row_width_bytes().max(1);
             let rows_per_page = (self.page_bytes / row_bytes).max(1);
-            let (updated, inserted) = twin.olap_delta();
+            let updated = twin.updated_rows_vs_olap();
+            let (_, inserted) = twin.olap_delta();
             let mut dirty: BTreeSet<u64> = updated.iter().map(|r| r / rows_per_page).collect();
             let mut row = inserted.start;
             while row < inserted.end {

@@ -111,9 +111,10 @@ impl OlapStore {
             .sum()
     }
 
-    /// Apply an ETL delta from an OLTP snapshot: copy the updated rows and
-    /// the inserted row range, then advance the watermark and epoch.
-    /// Returns the number of rows copied.
+    /// Apply an ETL delta from an OLTP snapshot: copy the updated rows
+    /// (ascending), then the contiguous inserted row range, each one column
+    /// at a time, then advance the watermark and epoch. Returns the number
+    /// of rows copied.
     pub fn apply_delta(
         &self,
         snapshot: &TableSnapshot,
@@ -124,21 +125,15 @@ impl OlapStore {
             Some(t) => t,
             None => return 0,
         };
-        let mut copied = 0u64;
-        for &row in updated_rows {
-            table.table.copy_row_from(snapshot.table(), row);
-            copied += 1;
-        }
-        for row in inserted.clone() {
-            table.table.copy_row_from(snapshot.table(), row);
-            copied += 1;
-        }
-        let new_rows = inserted.end.max(table.rows.load(Ordering::Acquire));
-        table.rows.store(new_rows, Ordering::Release);
+        table.table.copy_rows_from(snapshot.table(), updated_rows);
+        table
+            .table
+            .copy_range_from(snapshot.table(), inserted.clone());
+        table.rows.fetch_max(inserted.end, Ordering::AcqRel);
         table
             .synced_epoch
             .store(snapshot.epoch(), Ordering::Release);
-        copied
+        updated_rows.len() as u64 + inserted.end.saturating_sub(inserted.start)
     }
 
     /// A contiguous scan source over the local instance of `name`.

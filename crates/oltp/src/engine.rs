@@ -12,6 +12,7 @@ use htap_storage::{
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Per-relation runtime state owned by the OLTP engine: the twin columnar
 /// instances, the MVCC delta storage and the primary-key cuckoo index.
@@ -61,6 +62,21 @@ impl TableRuntime {
     pub fn index(&self) -> &CuckooIndex<RecordLocation> {
         &self.index
     }
+}
+
+/// What one quiesced instance switch did, and how long it stalled the
+/// engine (see [`OltpEngine::switch_and_sync_instances`]).
+#[derive(Debug, Clone)]
+pub struct InstanceSwitch {
+    /// Per-relation switch outcomes.
+    pub switched: BTreeMap<String, SwitchOutcome>,
+    /// Per-relation twin synchronisation outcomes.
+    pub synced: BTreeMap<String, SyncOutcome>,
+    /// Microseconds spent waiting for in-flight transactions to drain.
+    pub gate_wait_us: u64,
+    /// Microseconds the switch gate was held: switch, sync and any
+    /// checkpoint, during which no transaction runs.
+    pub gate_hold_us: u64,
 }
 
 /// The in-memory OLTP engine.
@@ -232,14 +248,13 @@ impl OltpEngine {
     /// against the un-synced active instance — it would read pre-switch
     /// values (e.g. a stale district order counter) or have its committed
     /// writes overwritten by the sync copy. This is the entry point the RDE
-    /// engine uses while the continuous ingest pool runs.
-    pub fn switch_and_sync_instances(
-        &self,
-    ) -> (
-        BTreeMap<String, SwitchOutcome>,
-        BTreeMap<String, SyncOutcome>,
-    ) {
-        let _guard = self.switch_gate.write();
+    /// engine uses while the continuous ingest pool runs. The result also
+    /// says how long the gate took to acquire and how long it was held
+    /// (every transaction stalls for the latter).
+    pub fn switch_and_sync_instances(&self) -> InstanceSwitch {
+        let requested = Instant::now();
+        let guard = self.switch_gate.write();
+        let acquired = Instant::now();
         let switched = self.store.switch_all();
         let synced = self
             .runtimes
@@ -252,7 +267,14 @@ impl OltpEngine {
         if let Some(ctl) = self.persistence.read().clone() {
             ctl.note_switch(self);
         }
-        (switched, synced)
+        let gate_hold_us = acquired.elapsed().as_micros() as u64;
+        drop(guard);
+        InstanceSwitch {
+            switched,
+            synced,
+            gate_wait_us: (acquired - requested).as_micros() as u64,
+            gate_hold_us,
+        }
     }
 
     /// A consistent snapshot handle over the inactive instance of every
@@ -387,9 +409,9 @@ mod tests {
             txn.update("stock", 1, 1, Value::I32(42)).unwrap();
             txn.commit().unwrap();
         });
-        let (switched, synced) = engine.switch_and_sync_instances();
-        assert_eq!(switched["stock"].pending_sync_records, 1);
-        assert_eq!(synced["stock"].copied_records, 1);
+        let switch = engine.switch_and_sync_instances();
+        assert_eq!(switch.switched["stock"].pending_sync_records, 1);
+        assert_eq!(switch.synced["stock"].copied_records, 1);
         // Both instances agree immediately after the combined step — no
         // transaction can ever observe the in-between state.
         let rt = engine.table("stock").unwrap();

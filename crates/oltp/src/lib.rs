@@ -26,7 +26,7 @@ pub mod worker;
 pub use durability::{
     apply_recovered, DurabilityController, DurabilityStats, CHECKPOINT_FILE, WAL_FILE,
 };
-pub use engine::{OltpEngine, TableRuntime};
+pub use engine::{InstanceSwitch, OltpEngine, TableRuntime};
 pub use locks::{LockKey, LockMode, LockTable};
 pub use txn::{Transaction, TxnError, TxnId, TxnManager, TxnOutcome};
 pub use worker::{OltpCounts, RetryPolicy, WorkerManager, WorkerReport};

@@ -15,6 +15,7 @@ use htap_storage::TableSchema;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// How the OLAP engine accesses the data of a query (§3.3's two access methods
 /// plus the OLAP-local case after an ETL).
@@ -276,9 +277,12 @@ impl RdeEngine {
     /// [`Activity::InstanceSync`] counter.
     pub fn switch_and_sync(&self) -> SwitchReport {
         let guard = htap_obs::span("rde.switch");
-        let (outcomes, sync) = self.oltp.switch_and_sync_instances();
+        let switch = self.oltp.switch_and_sync_instances();
+        htap_obs::histogram("rde.switch.gate_wait_us").record(switch.gate_wait_us);
+        htap_obs::histogram("rde.switch.gate_hold_us").record(switch.gate_hold_us);
 
-        let snapshot_rows: u64 = outcomes.values().map(|o| o.snapshot_rows).sum();
+        let snapshot_rows: u64 = switch.switched.values().map(|o| o.snapshot_rows).sum();
+        let sync = &switch.synced;
         let synced_records: u64 = sync.values().map(|s| s.copied_records).sum();
         let skipped_records: u64 = sync.values().map(|s| s.skipped_records).sum();
         let copied_bytes: u64 = sync.values().map(|s| s.copied_bytes).sum();
@@ -307,6 +311,8 @@ impl RdeEngine {
         if guard.is_active() {
             guard.arg("synced_records", synced_records as f64);
             guard.arg("skipped_records", skipped_records as f64);
+            guard.arg("gate_wait_us", switch.gate_wait_us as f64);
+            guard.arg("gate_hold_us", switch.gate_hold_us as f64);
         }
         SwitchReport {
             snapshot_rows,
@@ -318,11 +324,14 @@ impl RdeEngine {
     }
 
     /// Transfer the fresh delta (inserted + updated records since the last
-    /// ETL) from the OLTP snapshot into the OLAP instance. The modelled time
-    /// is charged to [`Activity::DataTransfer`] and, per §3.4, is paid by the
-    /// query that triggered it.
+    /// ETL) from the OLTP snapshot into the OLAP instance. Only updates the
+    /// snapshot holds are consumed: an update committed after the last
+    /// switch waits for the next one. The modelled time is charged to
+    /// [`Activity::DataTransfer`] and, per §3.4, is paid by the query that
+    /// triggered it.
     pub fn etl_to_olap(&self) -> EtlReport {
         let guard = htap_obs::span("rde.etl");
+        let started = Instant::now();
         let mut copied_rows = 0u64;
         let mut copied_bytes = 0u64;
         for twin in self.oltp.store().tables() {
@@ -366,6 +375,7 @@ impl RdeEngine {
             }
         }
 
+        htap_obs::histogram("rde.etl_us").record(started.elapsed().as_micros() as u64);
         if guard.is_active() {
             guard.arg("copied_rows", copied_rows as f64);
             guard.arg("copied_bytes", copied_bytes as f64);
@@ -502,6 +512,27 @@ mod tests {
         let second = rde.etl_to_olap();
         assert_eq!(second.copied_rows, 0);
         assert_eq!(second.modeled_time, 0.0);
+    }
+
+    #[test]
+    fn etl_never_loses_an_update_committed_after_the_switch() {
+        let rde = engine_with_data(10);
+        rde.switch_and_sync();
+        rde.etl_to_olap();
+        rde.oltp().execute(|mut t| {
+            t.update("sales", 3, 1, Value::F64(777.0)).unwrap();
+            t.commit().unwrap();
+        });
+        // The snapshot does not hold the update yet: this ETL must leave it
+        // for the next one rather than consume it.
+        rde.etl_to_olap();
+        rde.switch_and_sync();
+        rde.etl_to_olap();
+        assert_eq!(
+            rde.olap().store().get_value("sales", 3, 1),
+            Some(Value::F64(777.0))
+        );
+        assert_eq!(rde.oltp().fresh_rows_vs_olap(), 0);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! instance never conflict with scans of the inactive one.
 
 use crate::schema::{DataType, Value};
+use crate::RowId;
 use parking_lot::{RwLock, RwLockReadGuard};
 
 /// A read guard over a whole typed column, exposing its values as a
@@ -129,45 +130,82 @@ impl Column {
         }
     }
 
-    /// Copy the value at `row` from `src` into `self` at the same row,
-    /// growing `self` with default values if needed. Used by twin-instance
-    /// synchronisation and ETL.
-    pub fn copy_row_from(&self, src: &Column, row: usize) {
+    /// Copy the values at `rows` (ascending) from `src` into `self` at the
+    /// same rows, growing `self` with default values if needed. One read
+    /// guard on `src` gathers the values into a buffer and is dropped before
+    /// one write guard on `self` scatters them, so the two columns are never
+    /// locked together. Used by twin-instance synchronisation and ETL.
+    pub fn copy_rows_from(&self, src: &Column, rows: &[RowId]) {
+        let Some(&last) = rows.last() else {
+            return;
+        };
+        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows not ascending");
+        fn copy<T: Clone + Default>(
+            dst: &RwLock<Vec<T>>,
+            src: &RwLock<Vec<T>>,
+            rows: &[RowId],
+            end: usize,
+        ) {
+            let values: Vec<T> = {
+                let s = src.read();
+                rows.iter().map(|&r| s[r as usize].clone()).collect()
+            };
+            let mut d = dst.write();
+            if d.len() < end {
+                d.resize(end, T::default());
+            }
+            for (&r, v) in rows.iter().zip(values) {
+                d[r as usize] = v;
+            }
+        }
+        let end = last as usize + 1;
         match (self, src) {
-            (Column::I64(dst), Column::I64(s)) => {
-                let val = s.read()[row];
-                let mut d = dst.write();
-                if d.len() <= row {
-                    d.resize(row + 1, 0);
-                }
-                d[row] = val;
+            (Column::I64(d), Column::I64(s)) => copy(d, s, rows, end),
+            (Column::F64(d), Column::F64(s)) => copy(d, s, rows, end),
+            (Column::I32(d), Column::I32(s)) => copy(d, s, rows, end),
+            (Column::Str(d), Column::Str(s)) => copy(d, s, rows, end),
+            // lint:allow(no-panic): twin sync and ETL only pair columns cloned from one schema, so the dtypes always match
+            _ => panic!("copy_rows_from between mismatched column types"),
+        }
+    }
+
+    /// Copy the contiguous rows `range` from `src` into `self` at the same
+    /// rows, growing `self` if needed (rows skipped over get default
+    /// values). Same locking as [`Self::copy_rows_from`]: gather under one
+    /// read guard, then scatter under one write guard.
+    pub fn copy_range_from(&self, src: &Column, range: std::ops::Range<RowId>) {
+        if range.is_empty() {
+            return;
+        }
+        fn copy<T: Clone + Default>(
+            dst: &RwLock<Vec<T>>,
+            src: &RwLock<Vec<T>>,
+            start: usize,
+            end: usize,
+        ) {
+            let values: Vec<T> = src.read()[start..end].to_vec();
+            let mut d = dst.write();
+            let len = d.len();
+            d.reserve(end.saturating_sub(len));
+            if d.len() < start {
+                d.resize(start, T::default());
             }
-            (Column::F64(dst), Column::F64(s)) => {
-                let val = s.read()[row];
-                let mut d = dst.write();
-                if d.len() <= row {
-                    d.resize(row + 1, 0.0);
-                }
-                d[row] = val;
+            // Overwrite the rows `self` already holds, append the rest.
+            let overlap = d.len().min(end) - start;
+            let mut values = values.into_iter();
+            for (slot, v) in d[start..start + overlap].iter_mut().zip(values.by_ref()) {
+                *slot = v;
             }
-            (Column::I32(dst), Column::I32(s)) => {
-                let val = s.read()[row];
-                let mut d = dst.write();
-                if d.len() <= row {
-                    d.resize(row + 1, 0);
-                }
-                d[row] = val;
-            }
-            (Column::Str(dst), Column::Str(s)) => {
-                let val = s.read()[row].clone();
-                let mut d = dst.write();
-                if d.len() <= row {
-                    d.resize(row + 1, String::new());
-                }
-                d[row] = val;
-            }
-            // lint:allow(no-panic): migration only pairs columns cloned from one schema, so the dtypes always match
-            _ => panic!("copy_row_from between mismatched column types"),
+            d.extend(values);
+        }
+        let (start, end) = (range.start as usize, range.end as usize);
+        match (self, src) {
+            (Column::I64(d), Column::I64(s)) => copy(d, s, start, end),
+            (Column::F64(d), Column::F64(s)) => copy(d, s, start, end),
+            (Column::I32(d), Column::I32(s)) => copy(d, s, start, end),
+            (Column::Str(d), Column::Str(s)) => copy(d, s, start, end),
+            // lint:allow(no-panic): ETL only pairs columns cloned from one schema, so the dtypes always match
+            _ => panic!("copy_range_from between mismatched column types"),
         }
     }
 
@@ -289,18 +327,48 @@ mod tests {
     }
 
     #[test]
-    fn copy_row_from_grows_destination() {
+    fn copy_rows_from_grows_destination() {
         let src = Column::new(DataType::I64);
-        for i in 0..5 {
+        for i in 0..8 {
             src.append(&Value::I64(i * 100));
         }
         let dst = Column::new(DataType::I64);
-        dst.append(&Value::I64(0));
-        dst.copy_row_from(&src, 3);
-        assert_eq!(dst.len(), 4);
+        dst.append(&Value::I64(-1));
+        dst.copy_rows_from(&src, &[3, 5]);
+        assert_eq!(dst.len(), 6);
         assert_eq!(dst.get(3), Some(Value::I64(300)));
-        // Rows that were never written are zero-filled placeholders.
+        assert_eq!(dst.get(5), Some(Value::I64(500)));
+        // Rows that were never written are zero-filled placeholders, and
+        // rows outside the batch keep their value.
         assert_eq!(dst.get(1), Some(Value::I64(0)));
+        assert_eq!(dst.get(0), Some(Value::I64(-1)));
+        dst.copy_rows_from(&src, &[]);
+        assert_eq!(dst.len(), 6, "an empty batch changes nothing");
+    }
+
+    #[test]
+    fn copy_range_from_overwrites_then_appends() {
+        let src = Column::new(DataType::Str);
+        for s in ["a", "b", "c", "d", "e"] {
+            src.append(&Value::from(s));
+        }
+        let dst = Column::new(DataType::Str);
+        for s in ["x", "y", "z"] {
+            dst.append(&Value::from(s));
+        }
+        dst.copy_range_from(&src, 2..5);
+        dst.with_str(10, |v| assert_eq!(v, ["x", "y", "c", "d", "e"]));
+        let gap = Column::new(DataType::F64);
+        gap.copy_range_from(&Column::new(DataType::F64), 0..0);
+        assert!(gap.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "mismatched column types")]
+    fn batch_copy_between_mismatched_types_panics() {
+        let src = Column::new(DataType::I64);
+        src.append(&Value::I64(1));
+        Column::new(DataType::F64).copy_rows_from(&src, &[0]);
     }
 
     #[test]
@@ -341,6 +409,57 @@ mod tests {
             assert!(v.read().capacity() >= 1000);
         } else {
             unreachable!();
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Batched copies (a scattered ascending row set, then a contiguous
+        /// range) agree with the same copies applied to plain `Vec`s.
+        #[test]
+        fn batch_copies_match_a_vec_model(
+            src_values in prop::collection::vec(any::<i64>(), 1..300),
+            dst_len in 0usize..300,
+            picks in prop::collection::vec(prop::bool::ANY, 300..301),
+            (a, b) in (0usize..300, 0usize..300),
+        ) {
+            let n = src_values.len();
+            let src = Column::new(DataType::I64);
+            for &v in &src_values {
+                src.append(&Value::I64(v));
+            }
+            let dst = Column::new(DataType::I64);
+            let mut model: Vec<i64> = (0..dst_len as i64).map(|i| -i).collect();
+            for &v in &model {
+                dst.append(&Value::I64(v));
+            }
+
+            let rows: Vec<RowId> = (0..n).filter(|&r| picks[r]).map(|r| r as RowId).collect();
+            dst.copy_rows_from(&src, &rows);
+            if let Some(&last) = rows.last() {
+                if model.len() <= last as usize {
+                    model.resize(last as usize + 1, 0);
+                }
+            }
+            for &r in &rows {
+                model[r as usize] = src_values[r as usize];
+            }
+            dst.with_i64(usize::MAX, |v| assert_eq!(v, model.as_slice()));
+
+            let (start, end) = ((a % n).min(b % n), (a % n).max(b % n));
+            dst.copy_range_from(&src, start as RowId..end as RowId);
+            if start < end {
+                if model.len() < end {
+                    model.resize(end, 0);
+                }
+                model[start..end].copy_from_slice(&src_values[start..end]);
+            }
+            dst.with_i64(usize::MAX, |v| assert_eq!(v, model.as_slice()));
         }
     }
 }

@@ -157,27 +157,33 @@ impl ColumnarTable {
         )
     }
 
-    /// Copy row `row` of `src` into this instance (all columns), growing this
-    /// instance if necessary. Both instances must share the same schema.
-    /// Used by twin synchronisation and ETL.
-    pub fn copy_row_from(&self, src: &ColumnarTable, row: RowId) {
+    /// Copy the rows `rows` (ascending) of `src` into this instance, one
+    /// column at a time, growing this instance if necessary, then publish
+    /// the row count once. Both instances must share the same schema. Used
+    /// by twin synchronisation and ETL.
+    pub fn copy_rows_from(&self, src: &ColumnarTable, rows: &[RowId]) {
+        let Some(&last) = rows.last() else {
+            return;
+        };
         debug_assert_eq!(self.schema.arity(), src.schema.arity());
         for (dst_col, src_col) in self.columns.iter().zip(src.columns.iter()) {
-            dst_col.copy_row_from(src_col, row as usize);
+            dst_col.copy_rows_from(src_col, rows);
         }
-        // Publishing: the row count only grows, never shrinks.
-        let mut current = self.row_count.load(Ordering::Acquire);
-        while row + 1 > current {
-            match self.row_count.compare_exchange(
-                current,
-                row + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(actual) => current = actual,
-            }
+        // The row count only grows, never shrinks.
+        self.row_count.fetch_max(last + 1, Ordering::AcqRel);
+    }
+
+    /// Copy the contiguous rows `range` of `src` into this instance, one
+    /// column at a time, then publish the row count once (ETL of inserts).
+    pub fn copy_range_from(&self, src: &ColumnarTable, range: std::ops::Range<RowId>) {
+        if range.is_empty() {
+            return;
         }
+        debug_assert_eq!(self.schema.arity(), src.schema.arity());
+        for (dst_col, src_col) in self.columns.iter().zip(src.columns.iter()) {
+            dst_col.copy_range_from(src_col, range.clone());
+        }
+        self.row_count.fetch_max(range.end, Ordering::AcqRel);
     }
 }
 
@@ -253,20 +259,29 @@ mod tests {
     }
 
     #[test]
-    fn copy_row_from_replicates_and_publishes() {
+    fn copy_rows_from_replicates_and_publishes() {
         let schema = item_schema();
         let src = ColumnarTable::new(schema.clone());
         let dst = ColumnarTable::new(schema);
-        for i in 0..5 {
-            src.append_row(&row(i, i as f64, "n")).unwrap();
+        for i in 0..6 {
+            src.append_row(&row(i, i as f64, &format!("n{i}"))).unwrap();
         }
-        dst.copy_row_from(&src, 4);
+        dst.copy_rows_from(&src, &[1, 4]);
         assert_eq!(dst.row_count(), 5);
-        assert_eq!(dst.get_value(4, 0), Some(Value::I64(4)));
+        assert_eq!(dst.get_row(4), src.get_row(4));
+        assert_eq!(dst.get_row(1), src.get_row(1));
         // Earlier rows exist as zero-filled placeholders until copied.
-        dst.copy_row_from(&src, 2);
+        assert_eq!(dst.get_value(2, 2), Some(Value::from("")));
+        dst.copy_rows_from(&src, &[2]);
         assert_eq!(dst.get_value(2, 1), Some(Value::F64(2.0)));
         assert_eq!(dst.row_count(), 5, "row count must not shrink");
+        dst.copy_range_from(&src, 3..6);
+        assert_eq!(dst.row_count(), 6);
+        for r in 1..6 {
+            assert_eq!(dst.get_row(r), src.get_row(r), "row {r}");
+        }
+        dst.copy_range_from(&src, 2..2);
+        assert_eq!(dst.row_count(), 6, "an empty range publishes nothing");
     }
 
     #[test]

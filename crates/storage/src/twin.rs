@@ -5,6 +5,11 @@
 //! * **Updates** are applied to the active instance only, and set the
 //!   record's update-indication bits (one set per twin synchronisation, one
 //!   for propagation to the OLAP instance).
+//! * **OLAP propagation** consumes only updates the snapshot holds: an
+//!   update lands in a since-switch bitmap and moves into the ETL's
+//!   bitmap at the next switch, when the snapshot starts holding it. An ETL
+//!   that runs while transactions update the new active instance therefore
+//!   never consumes (and loses) an update it cannot yet copy.
 //! * **Inserts** are appended to *both* instances, but become visible to the
 //!   analytical side only after the next switch (the visible-row watermark is
 //!   captured at switch time).
@@ -66,8 +71,12 @@ pub struct TwinTable {
     /// Update bits per instance: rows updated in instance `i` that have not
     /// yet been synchronised into the other instance.
     dirty_twin: [AtomicBitmap; 2],
-    /// Rows updated since they were last propagated to the OLAP instance.
+    /// Rows whose update the snapshot instance holds but the OLAP instance
+    /// does not yet: the ETL copies and clears exactly these.
     dirty_olap: AtomicBitmap,
+    /// Rows updated on the active instance since the last switch. The next
+    /// switch moves them into `dirty_olap`, once the snapshot holds them.
+    dirty_olap_since_switch: AtomicBitmap,
     /// Rows already propagated to the OLAP instance (inserts beyond this
     /// watermark are fresh with respect to OLAP).
     olap_synced_rows: AtomicU64,
@@ -96,6 +105,7 @@ impl TwinTable {
             epoch: AtomicU64::new(0),
             dirty_twin: [AtomicBitmap::new(), AtomicBitmap::new()],
             dirty_olap: AtomicBitmap::new(),
+            dirty_olap_since_switch: AtomicBitmap::new(),
             olap_synced_rows: AtomicU64::new(0),
             visible_rows: [AtomicU64::new(0), AtomicU64::new(0)],
             update_presence: UpdatePresence::new(),
@@ -171,7 +181,7 @@ impl TwinTable {
             .ok_or(crate::StorageError::RowMissing { row })?;
         table.update_value(row, column, value)?;
         self.dirty_twin[active].set(row as usize);
-        self.dirty_olap.set(row as usize);
+        self.dirty_olap_since_switch.set(row as usize);
         self.update_presence.mark();
         Ok(old)
     }
@@ -197,6 +207,8 @@ impl TwinTable {
         self.visible_rows[previous_active].store(snapshot_rows, Ordering::Release);
         self.active.store(new_active, Ordering::Release);
         let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+        // The snapshot now holds every update made before the switch.
+        self.dirty_olap_since_switch.move_into(&self.dirty_olap);
         // Record per-column switch statistics on the snapshot instance.
         for (idx, _) in self.schema.columns.iter().enumerate() {
             self.instances[previous_active]
@@ -215,26 +227,24 @@ impl TwinTable {
     /// Synchronise the active instance from the snapshot (inactive) instance:
     /// copy every record whose update bit is set in the snapshot instance,
     /// unless the active instance has already overwritten it since the
-    /// switch. Clears the consumed bits. Performed by the RDE engine right
-    /// after a switch (§3.4).
+    /// switch. Clears the consumed bits in one pass over the bit words and
+    /// copies one column at a time. Performed by the RDE engine right after
+    /// a switch (§3.4).
     pub fn sync_active_from_snapshot(&self) -> SyncOutcome {
         let active = self.active_instance();
         let snapshot = 1 - active;
-        let pending = self.dirty_twin[snapshot].drain();
-        let mut outcome = SyncOutcome::default();
-        let row_width = self.schema.row_width_bytes();
-        for row in pending {
-            if self.dirty_twin[active].get(row) {
-                // Already overwritten by a newer transaction on the active
-                // instance; the newest value must win.
-                outcome.skipped_records += 1;
-                continue;
-            }
-            self.instances[active].copy_row_from(&self.instances[snapshot], row as u64);
-            outcome.copied_records += 1;
-            outcome.copied_bytes += row_width;
+        // Records the active instance overwrote since the switch are
+        // skipped: the newest value must win.
+        let (pending, skipped) =
+            self.dirty_twin[snapshot].drain_excluding(&self.dirty_twin[active]);
+        let rows: Vec<RowId> = pending.into_iter().map(|r| r as RowId).collect();
+        self.instances[active].copy_rows_from(&self.instances[snapshot], &rows);
+        let copied = rows.len() as u64;
+        SyncOutcome {
+            copied_records: copied,
+            skipped_records: skipped,
+            copied_bytes: copied * self.schema.row_width_bytes(),
         }
-        outcome
     }
 
     /// A read-only snapshot over the inactive instance, bounded at the
@@ -251,7 +261,8 @@ impl TwinTable {
 
     /// Rows that are fresh with respect to the OLAP instance: updated rows not
     /// yet propagated plus rows inserted beyond the propagation watermark,
-    /// measured against the current snapshot watermark.
+    /// measured against the current snapshot watermark. An updated row
+    /// counts once, whether the snapshot holds its update yet or not.
     pub fn fresh_rows_vs_olap(&self) -> u64 {
         let snapshot_rows = self.visible_rows[self.inactive_instance()].load(Ordering::Acquire);
         let synced = self.olap_synced_rows.load(Ordering::Acquire);
@@ -259,15 +270,25 @@ impl TwinTable {
         // Updated rows below the synced watermark (those above are counted as inserts).
         let updated = self
             .dirty_olap
-            .iter_set()
-            .into_iter()
-            .filter(|&r| (r as u64) < synced)
-            .count() as u64;
+            .count_union_below(&self.dirty_olap_since_switch, synced as usize);
         inserted + updated
     }
 
+    /// Rows below the propagation watermark updated since the OLAP instance
+    /// last received them, whether the snapshot holds the update yet or not
+    /// (the rows [`Self::fresh_rows_vs_olap`] counts as updated), ascending.
+    pub fn updated_rows_vs_olap(&self) -> Vec<RowId> {
+        let synced = self.olap_synced_rows.load(Ordering::Acquire);
+        self.dirty_olap
+            .union_below(&self.dirty_olap_since_switch, synced as usize)
+            .into_iter()
+            .map(|r| r as RowId)
+            .collect()
+    }
+
     /// The rows that an ETL to the OLAP instance must copy right now:
-    /// `(updated_rows_below_watermark, insert_range)`.
+    /// `(updated_rows_below_watermark, insert_range)`. The updated rows are
+    /// those whose update the snapshot holds, in ascending order.
     pub fn olap_delta(&self) -> (Vec<RowId>, std::ops::Range<u64>) {
         let snapshot_rows = self.visible_rows[self.inactive_instance()].load(Ordering::Acquire);
         let synced = self.olap_synced_rows.load(Ordering::Acquire);
@@ -282,21 +303,14 @@ impl TwinTable {
     }
 
     /// Record that the OLAP instance has been brought up to date with the
-    /// current snapshot: clears the consumed update bits and advances the
-    /// propagation watermark. Returns the number of update bits cleared.
+    /// current snapshot: clears the consumed update bits (every bit below
+    /// the snapshot watermark, in one pass) and advances the propagation
+    /// watermark. Returns the number of update bits cleared.
     pub fn mark_olap_synced(&self) -> u64 {
         let snapshot_rows = self.visible_rows[self.inactive_instance()].load(Ordering::Acquire);
-        let synced = self.olap_synced_rows.load(Ordering::Acquire);
-        let mut cleared = 0;
-        for row in self.dirty_olap.iter_set() {
-            if (row as u64) < snapshot_rows && self.dirty_olap.clear(row) {
-                cleared += 1;
-            }
-        }
-        if snapshot_rows > synced {
-            self.olap_synced_rows
-                .store(snapshot_rows, Ordering::Release);
-        }
+        let cleared = self.dirty_olap.clear_below(snapshot_rows as usize);
+        self.olap_synced_rows
+            .fetch_max(snapshot_rows, Ordering::AcqRel);
         cleared
     }
 
@@ -554,6 +568,27 @@ mod tests {
     }
 
     #[test]
+    fn olap_delta_waits_for_the_switch_that_puts_an_update_in_the_snapshot() {
+        let t = TwinTable::new(schema());
+        for i in 0..4 {
+            t.insert(&row(i, i as f64)).unwrap();
+        }
+        t.switch_active();
+        t.mark_olap_synced();
+        // Updated after the switch: only the active instance holds it, so
+        // an ETL now must neither copy nor consume it.
+        t.update(2, 1, &Value::F64(22.0)).unwrap();
+        assert_eq!(t.fresh_rows_vs_olap(), 1);
+        assert!(t.olap_delta().0.is_empty());
+        assert_eq!(t.mark_olap_synced(), 0);
+        assert_eq!(t.fresh_rows_vs_olap(), 1, "the update is still fresh");
+        t.switch_active();
+        assert_eq!(t.olap_delta().0, vec![2]);
+        assert_eq!(t.mark_olap_synced(), 1);
+        assert_eq!(t.fresh_rows_vs_olap(), 0);
+    }
+
+    #[test]
     fn stats_report_inserted_since_switch() {
         let t = TwinTable::new(schema());
         t.insert(&row(1, 1.0)).unwrap();
@@ -653,7 +688,77 @@ mod proptests {
         ]
     }
 
+    #[derive(Debug, Clone)]
+    enum EtlOp {
+        Insert(i64),
+        Update(usize, i64),
+        SwitchAndSync,
+        Etl,
+    }
+
+    fn arb_etl_op() -> impl Strategy<Value = EtlOp> {
+        prop_oneof![
+            3 => any::<i64>().prop_map(EtlOp::Insert),
+            3 => (0usize..64, any::<i64>()).prop_map(|(r, v)| EtlOp::Update(r, v)),
+            1 => Just(EtlOp::SwitchAndSync),
+            1 => Just(EtlOp::Etl),
+        ]
+    }
+
+    /// One ETL into `olap`, as the OLAP store applies it: the updated rows,
+    /// then the contiguous insert range, then the watermark.
+    fn etl(t: &TwinTable, olap: &ColumnarTable) {
+        let snapshot = t.snapshot();
+        let (updated, inserted) = t.olap_delta();
+        olap.copy_rows_from(snapshot.table(), &updated);
+        olap.copy_range_from(snapshot.table(), inserted);
+        t.mark_olap_synced();
+    }
+
     proptest! {
+        /// After any interleaving of inserts, updates, switch+sync cycles and
+        /// ETLs — with updates also landing between a switch and its ETL — a
+        /// final switch+sync and ETL leaves the OLAP instance holding exactly
+        /// the latest committed value of every record.
+        #[test]
+        fn olap_instance_converges_after_switch_and_etl(ops in prop::collection::vec(arb_etl_op(), 1..150)) {
+            let t = TwinTable::new(schema());
+            let olap = ColumnarTable::new(schema());
+            let mut model: Vec<i64> = Vec::new();
+            for op in ops {
+                match op {
+                    EtlOp::Insert(v) => {
+                        t.insert(&[Value::I64(model.len() as i64), Value::I64(v)]).unwrap();
+                        model.push(v);
+                    }
+                    EtlOp::Update(r, v) => {
+                        if !model.is_empty() {
+                            let r = r % model.len();
+                            t.update(r as u64, 1, &Value::I64(v)).unwrap();
+                            model[r] = v;
+                        }
+                    }
+                    EtlOp::SwitchAndSync => {
+                        t.switch_active();
+                        t.sync_active_from_snapshot();
+                    }
+                    EtlOp::Etl => etl(&t, &olap),
+                }
+            }
+            t.switch_active();
+            t.sync_active_from_snapshot();
+            etl(&t, &olap);
+            prop_assert_eq!(olap.row_count(), model.len() as u64);
+            prop_assert_eq!(t.fresh_rows_vs_olap(), 0);
+            for (row, expected) in model.iter().enumerate() {
+                prop_assert_eq!(
+                    olap.get_value(row as u64, 1),
+                    Some(Value::I64(*expected)),
+                    "row {} diverged in the OLAP instance", row
+                );
+            }
+        }
+
         /// After any interleaving of inserts, updates and switch+sync cycles,
         /// a final switch+sync leaves both instances holding exactly the
         /// latest committed value of every record.

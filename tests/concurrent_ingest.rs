@@ -233,3 +233,45 @@ fn sequential_mode_remains_bit_for_bit_deterministic() {
         .flat_map(|s| &s.queries)
         .all(|q| !q.oltp_tps_measured));
 }
+
+/// The ETL invariant under live ingest: static S2 switches and ETLs before
+/// every query while the ingest pool commits inserts and updates — some of
+/// them between a query's switch and its ETL. Once ingest stops, one more
+/// switch and ETL must leave every relation's OLAP instance equal to the
+/// OLTP snapshot, value for value: no update may be lost on the way.
+#[test]
+fn olap_instance_matches_the_snapshot_after_live_ingest() {
+    let system = tiny_system_with_schedule(Schedule::Static(SystemState::S2Isolated));
+    assert!(system.start_oltp_ingest() > 0);
+    let queries = [
+        QueryId::Q1,
+        QueryId::Q3,
+        QueryId::Q6,
+        QueryId::Q12,
+        QueryId::Q19,
+    ];
+    for query in queries.iter().cycle().take(20) {
+        system.execute_query(*query).expect("query executes");
+    }
+    let pool = system.stop_oltp_ingest();
+    assert!(pool.committed() > 0);
+    system.rde().switch_and_sync();
+    system.rde().etl_to_olap();
+
+    let olap = system.rde().olap().store();
+    for twin in system.rde().oltp().store().tables() {
+        let name = &twin.schema().name;
+        let snapshot = twin.snapshot();
+        let local = olap
+            .table(name)
+            .expect("relation exists in the OLAP instance");
+        assert_eq!(local.rows(), snapshot.rows(), "{name}: row count");
+        for row in 0..snapshot.rows() {
+            assert_eq!(
+                local.table().get_row(row),
+                snapshot.table().get_row(row),
+                "{name}: row {row} of the OLAP instance differs from the snapshot"
+            );
+        }
+    }
+}

@@ -7,7 +7,7 @@
 //! The obs state is process-global (rings, span log, registry, the
 //! enabled flag), so the tests in this binary serialise on one mutex.
 
-use adaptive_htap::{obs, HtapConfig, HtapSystem, QueryId};
+use adaptive_htap::{obs, HtapConfig, HtapSystem, QueryId, Schedule, SystemState};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -168,4 +168,67 @@ fn disabling_tracing_stops_recording_but_not_the_metrics_registry() {
     // The registry is a separate concern: counters keep counting.
     assert_eq!(committed_counter() - counter_before, pool.committed);
     obs::set_enabled(true);
+}
+
+fn histogram_count(name: &str) -> u64 {
+    obs::metrics_snapshot()
+        .histograms
+        .get(name)
+        .map_or(0, |h| h.count)
+}
+
+#[test]
+fn every_switch_and_etl_lands_in_the_gate_and_etl_histograms() {
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    obs::set_enabled(true);
+    // Static S2 runs an ETL before every query.
+    let config = HtapConfig::tiny().with_schedule(Schedule::Static(SystemState::S2Isolated));
+    let system = HtapSystem::build(config).expect("system builds");
+    let names = [
+        "rde.switch.gate_wait_us",
+        "rde.switch.gate_hold_us",
+        "rde.etl_us",
+    ];
+    let before = names.map(histogram_count);
+    let etls_before = system.with_scheduler(|s| s.etl_count());
+
+    // Queries scheduled while the ingest pool contends for the gate, and
+    // then with tracing off: the registry records either way.
+    const TRACED: u64 = 3;
+    const UNTRACED: u64 = 2;
+    assert!(system.start_oltp_ingest() > 0);
+    for _ in 0..TRACED {
+        system.execute_query(QueryId::Q6).expect("Q6 executes");
+    }
+    obs::set_enabled(false);
+    for _ in 0..UNTRACED {
+        system.execute_query(QueryId::Q1).expect("Q1 executes");
+    }
+    obs::set_enabled(true);
+    system.stop_oltp_ingest();
+
+    let after = names.map(histogram_count);
+    let etls = system.with_scheduler(|s| s.etl_count()) - etls_before;
+    assert_eq!(
+        after[0] - before[0],
+        TRACED + UNTRACED,
+        "one gate wait per switch"
+    );
+    assert_eq!(
+        after[1] - before[1],
+        TRACED + UNTRACED,
+        "one gate hold per switch"
+    );
+    assert_eq!(etls, TRACED + UNTRACED);
+    assert_eq!(after[2] - before[2], etls, "one ETL sample per ETL");
+
+    let spans = obs::spans_snapshot();
+    let switch = find_span(&spans, "rde.switch").expect("a traced switch span");
+    for arg in ["gate_wait_us", "gate_hold_us"] {
+        assert!(
+            switch.args.iter().any(|(k, _)| *k == arg),
+            "rde.switch carries no {arg} arg: {:?}",
+            switch.args
+        );
+    }
 }
