@@ -51,7 +51,9 @@ pub trait DurableStorage: Send + Sync {
     fn read(&self, name: &str) -> Result<Option<Vec<u8>>, DurabilityError>;
     /// Atomically replace the contents of a file (temp file + rename): after
     /// a crash the file holds either the old or the new bytes, never a mix.
-    fn write_atomic(&self, name: &str, data: &[u8]) -> Result<(), DurabilityError>;
+    /// Takes the bytes by value, so an in-memory backend keeps them without
+    /// a copy (a checkpoint is the size of the store).
+    fn write_atomic(&self, name: &str, data: Vec<u8>) -> Result<(), DurabilityError>;
     /// Remove a file if it exists.
     fn remove(&self, name: &str) -> Result<(), DurabilityError>;
 }
@@ -116,13 +118,13 @@ impl DurableStorage for FsStorage {
         }
     }
 
-    fn write_atomic(&self, name: &str, data: &[u8]) -> Result<(), DurabilityError> {
+    fn write_atomic(&self, name: &str, data: Vec<u8>) -> Result<(), DurabilityError> {
         let tmp = self.path(&format!("{name}.tmp"));
         let fin = self.path(name);
         let io = |e: std::io::Error| DurabilityError::io("write_atomic", e.to_string());
         {
             let mut f = std::fs::File::create(&tmp).map_err(io)?;
-            f.write_all(data).map_err(io)?;
+            f.write_all(&data).map_err(io)?;
             f.sync_data().map_err(io)?;
         }
         std::fs::rename(&tmp, &fin).map_err(io)?;
@@ -204,8 +206,8 @@ impl DurableStorage for MemStorage {
         Ok(lock(&self.files).get(name).cloned())
     }
 
-    fn write_atomic(&self, name: &str, data: &[u8]) -> Result<(), DurabilityError> {
-        lock(&self.files).insert(name.to_string(), data.to_vec());
+    fn write_atomic(&self, name: &str, data: Vec<u8>) -> Result<(), DurabilityError> {
+        lock(&self.files).insert(name.to_string(), data);
         Ok(())
     }
 
@@ -399,7 +401,7 @@ impl DurableStorage for FaultStorage {
         self.inner.read(name)
     }
 
-    fn write_atomic(&self, name: &str, data: &[u8]) -> Result<(), DurabilityError> {
+    fn write_atomic(&self, name: &str, data: Vec<u8>) -> Result<(), DurabilityError> {
         {
             let st = lock(&self.injector.inner);
             if st.halted {
@@ -431,7 +433,7 @@ mod tests {
         f.sync().unwrap();
         assert_eq!(s.read("wal").unwrap().unwrap(), b"abcdef");
         assert_eq!(s.read("missing").unwrap(), None);
-        s.write_atomic("wal", b"xyz").unwrap();
+        s.write_atomic("wal", b"xyz".to_vec()).unwrap();
         assert_eq!(s.read("wal").unwrap().unwrap(), b"xyz");
         s.remove("wal").unwrap();
         assert_eq!(s.read("wal").unwrap(), None);
@@ -458,7 +460,7 @@ mod tests {
         f2.append(b" world").unwrap();
         f2.sync().unwrap();
         assert_eq!(s.read("wal").unwrap().unwrap(), b"hello world");
-        s.write_atomic("ckpt", b"snapshot").unwrap();
+        s.write_atomic("ckpt", b"snapshot".to_vec()).unwrap();
         assert_eq!(s.read("ckpt").unwrap().unwrap(), b"snapshot");
         s.remove("wal").unwrap();
         s.remove("ckpt").unwrap();
@@ -513,7 +515,10 @@ mod tests {
         assert_eq!(f.append(b"post"), Err(DurabilityError::Halted));
         assert_eq!(f.sync(), Err(DurabilityError::Halted));
         assert_eq!(s.read("wal"), Err(DurabilityError::Halted));
-        assert_eq!(s.write_atomic("x", b""), Err(DurabilityError::Halted));
+        assert_eq!(
+            s.write_atomic("x", b"".to_vec()),
+            Err(DurabilityError::Halted)
+        );
         inj.resume();
         assert_eq!(s.read("wal").unwrap().unwrap(), b"pre");
     }
@@ -528,8 +533,8 @@ mod tests {
         assert!(f.sync().is_err());
         assert!(f.sync().is_ok());
         inj.set_fail_atomic_writes(true);
-        assert!(s.write_atomic("ckpt", b"x").is_err());
+        assert!(s.write_atomic("ckpt", b"x".to_vec()).is_err());
         inj.set_fail_atomic_writes(false);
-        assert!(s.write_atomic("ckpt", b"x").is_ok());
+        assert!(s.write_atomic("ckpt", b"x".to_vec()).is_ok());
     }
 }

@@ -10,8 +10,8 @@
 //! * [`wal`] — the group-commit coordinator: concurrent committers share one
 //!   fsync per batch, and a commit only returns once its record is durable;
 //! * [`checkpoint`] — atomic column-segment snapshots of every relation,
-//!   taken inside the twin-instance switch quiescence window, after which
-//!   the WAL is truncated to the checkpoint LSN;
+//!   written from a row-bounded instance straight into one buffer, after
+//!   which the WAL is truncated to the checkpoint LSN;
 //! * [`recovery`] — loads the latest checkpoint plus the intact WAL tail;
 //!   the OLTP crate replays that tail through its normal insert/update path;
 //! * [`file`] — the injectable [`DurableFile`]/[`DurableStorage`] I/O
@@ -30,7 +30,7 @@ pub mod record;
 pub mod recovery;
 pub mod wal;
 
-pub use checkpoint::{CheckpointData, CheckpointTable};
+pub use checkpoint::{CheckpointData, CheckpointTable, CheckpointWriter};
 pub use error::DurabilityError;
 pub use file::{
     AppendFault, DurableFile, DurableStorage, FaultInjector, FaultStorage, FsStorage, MemStorage,

@@ -38,11 +38,15 @@ pub const WAL_HEADER_LEN: usize = 8 + 4 + 8;
 const MAX_RECORD_LEN: u32 = 64 << 20;
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE), table generated at compile time — no external crates.
+// CRC32 (IEEE), slicing-by-8, tables generated at compile time — no
+// external crates.
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the bytewise table; `CRC_TABLES[k][b]` advances the
+/// CRC of byte `b` through `k` more zero bytes, so eight table lookups fold
+/// eight input bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -55,19 +59,43 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC32 (IEEE 802.3) of `data`.
+/// CRC32 (IEEE 802.3) of `data`, eight bytes per step.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -232,6 +260,34 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).ok()
     }
 
+    /// The body of the next intact frame — length in bounds, CRC matching,
+    /// body not decoded — or `None` at a torn or corrupt frame or the end of
+    /// input. On success `pos` is the end of the frame.
+    fn frame(&mut self) -> Option<&'a [u8]> {
+        let len = self.u32()?;
+        if len > MAX_RECORD_LEN {
+            return None;
+        }
+        let crc = self.u32()?;
+        let body = self.take(len as usize)?;
+        (crc32(body) == crc).then_some(body)
+    }
+
+    /// Check the file header and return its base LSN.
+    fn wal_header(&mut self) -> Result<Lsn, DurabilityError> {
+        let truncated = || DurabilityError::corrupt("wal header truncated");
+        if self.u64().ok_or_else(truncated)? != WAL_MAGIC {
+            return Err(DurabilityError::corrupt("wal magic mismatch"));
+        }
+        let version = self.u32().ok_or_else(truncated)?;
+        if version != WAL_VERSION {
+            return Err(DurabilityError::corrupt(format!(
+                "unsupported wal version {version}"
+            )));
+        }
+        self.u64().ok_or_else(truncated)
+    }
+
     fn value(&mut self) -> Option<Value> {
         match self.u8()? {
             VAL_I64 => self.u64().map(|x| Value::I64(x as i64)),
@@ -341,50 +397,52 @@ pub fn encode_wal_header(base_lsn: Lsn) -> Vec<u8> {
 /// the valid prefix.
 pub fn decode_wal(bytes: &[u8]) -> Result<WalSegment, DurabilityError> {
     let mut r = Reader::new(bytes);
-    let magic = r
-        .u64()
-        .ok_or_else(|| DurabilityError::corrupt("wal header truncated"))?;
-    if magic != WAL_MAGIC {
-        return Err(DurabilityError::corrupt("wal magic mismatch"));
-    }
-    let version = r
-        .u32()
-        .ok_or_else(|| DurabilityError::corrupt("wal header truncated"))?;
-    if version != WAL_VERSION {
-        return Err(DurabilityError::corrupt(format!(
-            "unsupported wal version {version}"
-        )));
-    }
-    let base_lsn = r
-        .u64()
-        .ok_or_else(|| DurabilityError::corrupt("wal header truncated"))?;
-
+    let base_lsn = r.wal_header()?;
     let mut records = Vec::new();
     let mut valid_len = WAL_HEADER_LEN;
-    loop {
-        let frame_start = r.pos;
-        let Some(len) = r.u32() else { break };
-        if len > MAX_RECORD_LEN {
-            break;
-        }
-        let Some(crc) = r.u32() else { break };
-        let Some(body) = r.take(len as usize) else {
-            break;
-        };
-        if crc32(body) != crc {
-            break;
-        }
+    while let Some(body) = r.frame() {
         let Some(record) = decode_body(body) else {
             break;
         };
         records.push(record);
-        valid_len = frame_start + 8 + len as usize;
+        valid_len = r.pos;
     }
     Ok(WalSegment {
         base_lsn,
         records,
         valid_len,
     })
+}
+
+/// Rewrite a WAL file so it holds only the records with `lsn >= up_to`: a
+/// new header whose base LSN is `up_to` (clamped to the records the file
+/// holds), then the kept frames copied byte for byte. Frames are found by
+/// walking their lengths and checking their CRCs; no record is decoded. A
+/// torn or corrupt tail ends the walk and is dropped, as [`decode_wal`]
+/// drops it.
+pub(crate) fn truncate_wal(bytes: &[u8], up_to: Lsn) -> Result<Vec<u8>, DurabilityError> {
+    let mut r = Reader::new(bytes);
+    let base_lsn = r.wal_header()?;
+    let up_to = up_to.max(base_lsn);
+    let mut lsn = base_lsn;
+    let mut keep_from = None;
+    let mut valid_len = WAL_HEADER_LEN;
+    loop {
+        if lsn == up_to {
+            keep_from = Some(r.pos);
+        }
+        if r.frame().is_none() {
+            break;
+        }
+        valid_len = r.pos;
+        lsn += 1;
+    }
+    // `lsn` is now one past the last intact record.
+    let kept = keep_from.map_or(&[][..], |from| &bytes[from..valid_len]);
+    let mut out = Vec::with_capacity(WAL_HEADER_LEN + kept.len());
+    out.extend_from_slice(&encode_wal_header(up_to.min(lsn)));
+    out.extend_from_slice(kept);
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -484,6 +542,32 @@ mod tests {
     fn crc32_known_vector() {
         // Standard IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn truncate_wal_keeps_the_tail_verbatim() {
+        let records: Vec<_> = (1..=5).map(sample).collect();
+        let bytes = file_with(&records, 10);
+        for up_to in 0..18 {
+            let out = truncate_wal(&bytes, up_to).unwrap();
+            let seg = decode_wal(&out).unwrap();
+            let first = up_to.clamp(10, 15);
+            assert_eq!(seg.base_lsn, first, "up_to {up_to}");
+            assert_eq!(
+                seg.records,
+                records[(first - 10) as usize..],
+                "up_to {up_to}"
+            );
+            // The kept frames are the original bytes, not a re-encoding.
+            assert!(bytes.ends_with(&out[WAL_HEADER_LEN..]));
+        }
+        // A torn tail is dropped along with the covered prefix.
+        let torn = &bytes[..bytes.len() - 3];
+        let seg = decode_wal(&truncate_wal(torn, 12).unwrap()).unwrap();
+        assert_eq!(seg.base_lsn, 12);
+        assert_eq!(seg.records, records[2..4]);
+        assert!(truncate_wal(b"short", 0).is_err());
     }
 
     #[test]
@@ -508,6 +592,43 @@ mod tests {
                     ..
                 } => assert_eq!(got.to_bits(), v.to_bits()),
                 other => panic!("unexpected op {other:?}"),
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The bytewise loop over the first table: the reference the
+    /// slicing-by-8 [`crc32`] must agree with.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn bytewise_reference_matches_the_known_vector() {
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    proptest! {
+        /// Slicing-by-8 equals the bytewise loop on every length class:
+        /// shorter than one 8-byte step, whole steps plus a remainder, and
+        /// long buffers.
+        #[test]
+        fn crc32_matches_the_bytewise_reference(
+            short in prop::collection::vec(any::<u8>(), 0..65),
+            long in prop::collection::vec(any::<u8>(), 65..4096),
+        ) {
+            prop_assert_eq!(crc32(&long), crc32_bytewise(&long));
+            for cut in 0..=short.len() {
+                prop_assert_eq!(crc32(&short[cut..]), crc32_bytewise(&short[cut..]));
             }
         }
     }

@@ -22,7 +22,7 @@
 
 use crate::error::DurabilityError;
 use crate::file::{DurableFile, DurableStorage};
-use crate::record::{decode_wal, encode_wal_header, Lsn, WalRecord, WalSegment};
+use crate::record::{decode_wal, encode_wal_header, truncate_wal, Lsn, WalRecord, WalSegment};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -122,17 +122,18 @@ impl Wal {
         config: WalConfig,
     ) -> Result<(Self, WalSegment), DurabilityError> {
         let segment = match storage.read(name)? {
-            Some(bytes) => {
+            Some(mut bytes) => {
                 let seg = decode_wal(&bytes)?;
                 if seg.valid_len < bytes.len() {
                     // Drop the torn tail so the append handle continues a
                     // valid prefix.
-                    storage.write_atomic(name, &bytes[..seg.valid_len])?;
+                    bytes.truncate(seg.valid_len);
+                    storage.write_atomic(name, bytes)?;
                 }
                 seg
             }
             None => {
-                storage.write_atomic(name, &encode_wal_header(0))?;
+                storage.write_atomic(name, encode_wal_header(0))?;
                 WalSegment {
                     base_lsn: 0,
                     records: Vec::new(),
@@ -288,9 +289,12 @@ impl Wal {
     /// checkpoint) by rewriting the file with `base_lsn = up_to`, then
     /// reopen the append handle on the rewritten file.
     ///
-    /// Called inside the switch-gate quiescence window: no commit is in
-    /// flight, but the method still drains any pending batch first so it is
-    /// safe in general.
+    /// Safe beside concurrent [`Self::append_commit`] calls: the method
+    /// claims the flush role, so no batch is written while the file is
+    /// replaced, and flushes the pending batch first. Appenders keep
+    /// encoding into the next batch meanwhile and wait for the rewrite like
+    /// for any other flush. Records at `up_to` or later, acknowledged or
+    /// not, survive with their LSNs.
     pub fn truncate_to(&self, up_to: Lsn) -> Result<(), DurabilityError> {
         let sh = &self.shared;
         let mut st = lock(&sh.state);
@@ -327,7 +331,8 @@ impl Wal {
     }
 
     /// Flush `pending_buf`, rewrite the file keeping only records with
-    /// `lsn >= up_to`, and swap in a fresh append handle.
+    /// `lsn >= up_to` (frames copied verbatim, see [`truncate_wal`]), and
+    /// swap in a fresh append handle.
     fn rewrite(&self, up_to: Lsn, pending_buf: &[u8]) -> Result<(), DurabilityError> {
         let sh = &self.shared;
         let mut io = lock(&sh.io);
@@ -340,14 +345,8 @@ impl Wal {
             .storage
             .read(&sh.name)?
             .ok_or_else(|| DurabilityError::corrupt("wal file vanished during truncation"))?;
-        let seg = decode_wal(&bytes)?;
-        let mut fresh = encode_wal_header(up_to.min(seg.end_lsn()));
-        for (lsn, record) in seg.numbered() {
-            if lsn >= up_to {
-                record.encode_into(&mut fresh);
-            }
-        }
-        sh.storage.write_atomic(&sh.name, &fresh)?;
+        let fresh = truncate_wal(&bytes, up_to)?;
+        sh.storage.write_atomic(&sh.name, fresh)?;
         // The old handle points at the replaced file; reopen on the new one.
         *io = sh.storage.open_append(&sh.name)?;
         Ok(())
@@ -491,6 +490,75 @@ mod tests {
         let seg = decode_wal(&mem.bytes("wal").unwrap()).unwrap();
         assert_eq!(seg.end_lsn(), 6);
         assert_eq!(seg.records[2], rec(9));
+    }
+
+    #[test]
+    fn truncate_to_beside_concurrent_appends_keeps_every_acknowledged_record() {
+        let (mem, wal) = mem_wal(WalConfig {
+            flush_interval_micros: 50,
+            max_batch: 8,
+        });
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 300;
+        // Every appender acknowledges half its records, then waits until the
+        // truncating thread has rewritten the file once; the second halves
+        // then race the truncations that follow.
+        let halfway = Arc::new(std::sync::Barrier::new(THREADS as usize + 1));
+        let appenders: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let wal = wal.clone();
+                let halfway = Arc::clone(&halfway);
+                std::thread::spawn(move || {
+                    let mut acknowledged = Vec::new();
+                    for i in 0..PER_THREAD {
+                        if i == PER_THREAD / 2 {
+                            halfway.wait();
+                        }
+                        let record = rec(t * PER_THREAD + i);
+                        acknowledged.push((wal.append_commit(&record).unwrap(), record));
+                    }
+                    acknowledged
+                })
+            })
+            .collect();
+        // Truncate over and over, up to a point 100 records behind the
+        // durable watermark or the next LSN (whose pending batch the
+        // truncation flushes first), so a tail survives.
+        let mut up_to = 0;
+        for (round, durable) in [true, false].into_iter().cycle().enumerate() {
+            let watermark = if durable {
+                wal.durable_to()
+            } else {
+                wal.next_lsn()
+            };
+            up_to = up_to.max(watermark.saturating_sub(100));
+            wal.truncate_to(up_to).unwrap();
+            if round == 0 {
+                halfway.wait();
+            } else if appenders.iter().all(|a| a.is_finished()) {
+                break;
+            }
+        }
+        let acknowledged: Vec<(Lsn, WalRecord)> = appenders
+            .into_iter()
+            .flat_map(|a| a.join().unwrap())
+            .collect();
+        let total = THREADS * PER_THREAD;
+        assert_eq!(acknowledged.len() as u64, total);
+
+        // Contiguous LSNs from `up_to` to the last append; every
+        // acknowledged record at `up_to` or later is there, at its LSN.
+        let seg = decode_wal(&mem.bytes("wal").unwrap()).unwrap();
+        assert_eq!(seg.base_lsn, up_to);
+        assert_eq!(seg.end_lsn(), total);
+        assert_eq!(wal.next_lsn(), total);
+        for (lsn, record) in &acknowledged {
+            if *lsn >= up_to {
+                assert_eq!(&seg.records[(lsn - up_to) as usize], record, "lsn {lsn}");
+            }
+        }
+        // Appends continue the same sequence on the rewritten file.
+        assert_eq!(wal.append_commit(&rec(total)).unwrap(), total);
     }
 
     #[test]

@@ -1,22 +1,25 @@
 //! Engine-side durability orchestration: periodic column-segment checkpoints
-//! inside the switch-gate quiescence window, and replay of recovered state
-//! through the normal twin-table insert/update path.
+//! positioned inside the switch-gate quiescence window and written from the
+//! frozen snapshot instance after the gate opens, and replay of recovered
+//! state through the normal twin-table insert/update path.
 //!
 //! The byte formats, group-commit WAL and fault-injection plumbing live in
 //! `htap-durability`; this module owns the *coordination* with the OLTP
-//! engine — when a checkpoint may run (only while the instance-switch write
-//! gate is held, so no transaction is mid-commit), what it captures (every
-//! registered relation, key-ordered), and how a [`RecoveredState`] is applied
-//! back onto a freshly created schema.
+//! engine — where a checkpoint stands (the WAL position and clock read while
+//! the gate is held, so no transaction is mid-commit), what it captures
+//! (every registered relation, keys in row order), and how a
+//! [`RecoveredState`] is applied back onto a freshly created schema.
 //!
 //! See `ARCHITECTURE.md` ("Durability & crash recovery").
 
 use crate::engine::OltpEngine;
 use htap_durability::{
-    CheckpointData, CheckpointTable, DurabilityError, DurableStorage, RecoveredState, Wal, WalOp,
+    CheckpointWriter, DurabilityError, DurableStorage, Lsn, RecoveredState, Wal, WalOp,
 };
+use htap_storage::TableSnapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Default WAL file name inside the durable storage root.
 pub const WAL_FILE: &str = "wal.log";
@@ -35,12 +38,33 @@ pub struct DurabilityStats {
     pub checkpoint_errors: u64,
 }
 
+/// Where a checkpoint stands, read while the switch gate is held: every
+/// WAL record below `lsn` is applied, none at or after it is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CheckpointPosition {
+    lsn: Lsn,
+    last_ts: u64,
+}
+
+/// Which instance of each relation holds the state at a
+/// [`CheckpointPosition`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CheckpointSource {
+    /// The snapshot instance, bounded at its switch watermark: the position
+    /// was read in the gate of the switch that froze it.
+    Snapshot,
+    /// The active instance, bounded at its row count: the gate is still
+    /// held.
+    Active,
+}
+
 /// Coordinates the WAL and periodic checkpoints with the OLTP engine.
 ///
-/// Attached to an [`OltpEngine`] via [`OltpEngine::attach_durability`]; the
+/// Attached to an [`OltpEngine`] via [`OltpEngine::attach_durability`]. The
 /// engine calls [`DurabilityController::note_switch`] from inside
-/// `switch_and_sync_instances` while the switch-gate write lock is held, so a
-/// checkpoint always observes a quiesced, fully-synced store.
+/// `switch_and_sync_instances` while the switch-gate write lock is held; a
+/// due checkpoint records its position there and is written from the
+/// switch's snapshot instance once the gate is released.
 pub struct DurabilityController {
     storage: Arc<dyn DurableStorage>,
     wal: Wal,
@@ -100,86 +124,115 @@ impl DurabilityController {
     }
 
     /// Called by the engine from inside the switch quiescence window (switch
-    /// gate held for writing, twins synced). Takes a checkpoint every
-    /// `checkpoint_interval_switches` switches.
-    ///
-    /// A failed checkpoint is counted and swallowed: the engine keeps
-    /// serving transactions and the WAL keeps its tail, so recovery falls
-    /// back to the previous checkpoint plus a longer replay.
-    pub(crate) fn note_switch(&self, engine: &OltpEngine) {
+    /// gate held for writing, twins synced). Every
+    /// `checkpoint_interval_switches` switches it returns the position of the
+    /// checkpoint due, for [`Self::write_checkpoint`] from the snapshot
+    /// instance after the gate is released.
+    pub(crate) fn note_switch(&self, engine: &OltpEngine) -> Option<CheckpointPosition> {
         let seen = self.switches_seen.fetch_add(1, Ordering::AcqRel) + 1;
         if self.checkpoint_interval_switches == 0
             || !seen.is_multiple_of(self.checkpoint_interval_switches)
         {
-            return;
+            return None;
         }
-        if self.checkpoint_quiesced(engine).is_err() {
-            self.checkpoint_errors.fetch_add(1, Ordering::Relaxed);
+        Some(self.position(engine))
+    }
+
+    /// The current checkpoint position. The caller must hold the switch gate
+    /// for writing: no transaction is in flight, so every durable record is
+    /// also applied and `next_lsn` covers exactly the store's state.
+    pub(crate) fn position(&self, engine: &OltpEngine) -> CheckpointPosition {
+        CheckpointPosition {
+            lsn: self.wal.next_lsn(),
+            last_ts: engine.txn_manager().now(),
         }
     }
 
-    /// Write a checkpoint of the current store and truncate the WAL to it.
-    /// The caller must hold the switch gate for writing (quiesced engine).
-    pub(crate) fn checkpoint_quiesced(&self, engine: &OltpEngine) -> Result<(), DurabilityError> {
+    /// Write the checkpoint at `pos` from `source` and truncate the WAL to
+    /// it. The rows read must hold the state at `pos` until this returns:
+    /// the engine's switch mutex keeps the next switch out, and for
+    /// [`CheckpointSource::Active`] the caller holds the gate.
+    ///
+    /// Failures are counted and returned: the engine keeps serving
+    /// transactions and the WAL keeps its tail, so recovery falls back to
+    /// the previous checkpoint plus a longer replay.
+    pub(crate) fn write_checkpoint(
+        &self,
+        engine: &OltpEngine,
+        pos: CheckpointPosition,
+        source: CheckpointSource,
+    ) -> Result<(), DurabilityError> {
+        let started = Instant::now();
         let on = htap_obs::enabled();
         let t_ckpt = if on { htap_obs::now_us() } else { 0 };
         if on {
             htap_obs::record_thread(htap_obs::EventKind::CheckpointBegin, t_ckpt, 0, 0);
         }
-        // No transaction is in flight, so every durable record is also
-        // applied and `next_lsn` covers exactly the captured state.
-        let lsn = self.wal.next_lsn();
-        let last_ts = engine.txn_manager().now();
-        let mut tables = Vec::new();
-        for name in engine.table_names() {
-            let rt = engine
-                .table(&name)
-                .ok_or_else(|| DurabilityError::corrupt(format!("table {name} vanished")))?;
-            let dtypes: Vec<_> = rt.twin().schema().columns.iter().map(|c| c.dtype).collect();
-            let entries = rt.index().entries();
-            let mut keys = Vec::with_capacity(entries.len());
-            let mut columns = vec![Vec::with_capacity(entries.len()); dtypes.len()];
-            for (key, loc) in entries {
-                keys.push(key);
-                for (c, col) in columns.iter_mut().enumerate() {
-                    let value = rt.twin().get(loc.row, c).ok_or_else(|| {
-                        DurabilityError::corrupt(format!(
-                            "row {} column {c} of table {name} unreadable",
-                            loc.row
-                        ))
-                    })?;
-                    col.push(value);
+        let result = self.encode_and_write(engine, pos, source);
+        let elapsed_us = started.elapsed().as_micros() as u64;
+        htap_obs::histogram("durability.checkpoint_us").record(elapsed_us);
+        match &result {
+            Ok(table_count) => {
+                self.checkpoints_taken.fetch_add(1, Ordering::Relaxed);
+                if on {
+                    htap_obs::record_thread(
+                        htap_obs::EventKind::CheckpointEnd,
+                        t_ckpt,
+                        *table_count,
+                        elapsed_us,
+                    );
                 }
             }
-            tables.push(CheckpointTable {
-                name,
-                dtypes,
-                keys,
-                columns,
-            });
+            Err(_) => {
+                self.checkpoint_errors.fetch_add(1, Ordering::Relaxed);
+            }
         }
-        let data = CheckpointData {
-            lsn,
-            last_ts,
-            tables,
-        };
+        result.map(|_| ())
+    }
+
+    /// Encode every relation, write the file, truncate the WAL. Returns
+    /// the number of tables written.
+    fn encode_and_write(
+        &self,
+        engine: &OltpEngine,
+        pos: CheckpointPosition,
+        source: CheckpointSource,
+    ) -> Result<u64, DurabilityError> {
+        let runtimes = engine.table_runtimes();
+        let tables: Vec<TableSnapshot> = runtimes
+            .iter()
+            .map(|rt| match source {
+                CheckpointSource::Snapshot => rt.twin().snapshot(),
+                CheckpointSource::Active => {
+                    let active = rt.twin().active();
+                    TableSnapshot::new(
+                        rt.name().to_string(),
+                        Arc::clone(active),
+                        active.row_count(),
+                        rt.twin().epoch(),
+                    )
+                }
+            })
+            .collect();
+        let mut writer = CheckpointWriter::new(pos.lsn, pos.last_ts, &tables);
+        for (rt, table) in runtimes.iter().zip(&tables) {
+            // The index walk ends before the column guards are taken.
+            let keys = rt.index().keys_in_row_order(table.rows()).ok_or_else(|| {
+                DurabilityError::corrupt(format!(
+                    "index of {} does not hold exactly one key per row below {}",
+                    rt.name(),
+                    table.rows()
+                ))
+            })?;
+            writer.table(table, &keys)?;
+        }
         // Checkpoint first, truncate second: a crash between the two leaves
         // an un-truncated WAL prefix that recovery simply skips, because
         // replay starts at the checkpoint LSN.
-        let table_count = data.tables.len() as u64;
         self.storage
-            .write_atomic(&self.checkpoint_file, &data.encode())?;
-        self.wal.truncate_to(lsn)?;
-        self.checkpoints_taken.fetch_add(1, Ordering::Relaxed);
-        if on {
-            htap_obs::record_thread(
-                htap_obs::EventKind::CheckpointEnd,
-                t_ckpt,
-                table_count,
-                htap_obs::now_us().saturating_sub(t_ckpt),
-            );
-        }
-        Ok(())
+            .write_atomic(&self.checkpoint_file, writer.finish())?;
+        self.wal.truncate_to(pos.lsn)?;
+        Ok(tables.len() as u64)
     }
 }
 
@@ -366,6 +419,78 @@ mod tests {
         let state = load_state(storage.as_ref(), WAL_FILE, CHECKPOINT_FILE).unwrap();
         assert_eq!(state.tail_len(), 0);
         assert_eq!(state.checkpoint.unwrap().tables[0].keys, vec![7]);
+    }
+
+    fn recover(disk: &MemStorage) -> (OltpEngine, RecoveredState) {
+        let storage: Arc<dyn DurableStorage> = Arc::new(disk.clone());
+        let state = load_state(storage.as_ref(), WAL_FILE, CHECKPOINT_FILE).unwrap();
+        let engine = OltpEngine::new();
+        engine.create_table(schema("stock")).unwrap();
+        apply_recovered(&engine, &state).unwrap();
+        (engine, state)
+    }
+
+    #[test]
+    fn recovery_keeps_the_row_id_of_every_checkpointed_key() {
+        // Keys arrive out of key order, so row order differs from key order.
+        let keys = [30u64, 10, 20, 5, 40];
+        for switch_checkpoint in [false, true] {
+            let disk = MemStorage::new();
+            let rows: Vec<(u64, u64)> = {
+                let (engine, _ctl) = durable_engine(&disk, u64::from(switch_checkpoint));
+                for &k in &keys {
+                    insert(&engine, k, k as i32);
+                }
+                if switch_checkpoint {
+                    engine.switch_and_sync_instances();
+                } else {
+                    assert!(engine.checkpoint_now().unwrap());
+                }
+                let rt = engine.table("stock").unwrap();
+                keys.iter()
+                    .map(|&k| (k, rt.index().get(k).unwrap().row))
+                    .collect()
+            };
+            let (engine, state) = recover(&disk);
+            let ckpt = state.checkpoint.as_ref().unwrap();
+            assert_eq!(ckpt.tables[0].keys, keys, "keys stored in row order");
+            assert_eq!(state.tail_len(), 0);
+            let rt = engine.table("stock").unwrap();
+            for (key, row) in rows {
+                assert_eq!(rt.index().get(key).unwrap().row, row, "key {key}");
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_checkpoint_holds_the_switch_state_and_the_tail_survives() {
+        let disk = MemStorage::new();
+        {
+            let (engine, ctl) = durable_engine(&disk, 0);
+            insert(&engine, 1, 10);
+            insert(&engine, 2, 20);
+            engine.switch_and_sync_instances();
+            // The position this switch would have checkpointed at.
+            let pos = ctl.position(&engine);
+            // Traffic after the gate opened: an update on the active
+            // instance and an insert above the snapshot watermark.
+            engine.execute(|mut txn| {
+                txn.update("stock", 1, 1, Value::I32(11)).unwrap();
+                txn.commit().unwrap();
+            });
+            insert(&engine, 3, 30);
+            ctl.write_checkpoint(&engine, pos, CheckpointSource::Snapshot)
+                .unwrap();
+        }
+        let (engine, state) = recover(&disk);
+        let ckpt = state.checkpoint.as_ref().unwrap();
+        assert_eq!(ckpt.tables[0].keys, vec![1, 2]);
+        assert_eq!(ckpt.tables[0].row(0)[1], Value::I32(10), "pre-switch value");
+        assert_eq!(state.tail_len(), 2, "post-switch commits stay in the WAL");
+        let t = engine.begin();
+        for (key, qty) in [(1u64, 11), (2, 20), (3, 30)] {
+            assert_eq!(t.read("stock", key, 1).unwrap(), Value::I32(qty));
+        }
     }
 
     #[test]

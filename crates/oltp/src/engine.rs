@@ -1,7 +1,7 @@
 //! The OLTP engine facade: storage manager + transaction manager + worker
 //! manager, plus the hooks the RDE engine drives (§3.2, §3.4).
 
-use crate::durability::DurabilityController;
+use crate::durability::{CheckpointSource, DurabilityController};
 use crate::txn::{Transaction, TxnManager};
 use crate::worker::WorkerManager;
 use htap_durability::DurabilityError;
@@ -9,7 +9,7 @@ use htap_storage::{
     CuckooIndex, DeltaStorage, RecordLocation, SnapshotHandle, StorageError, SwitchOutcome,
     SyncOutcome, TableSchema, TwinStore, TwinTable, Value,
 };
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -74,8 +74,9 @@ pub struct InstanceSwitch {
     pub synced: BTreeMap<String, SyncOutcome>,
     /// Microseconds spent waiting for in-flight transactions to drain.
     pub gate_wait_us: u64,
-    /// Microseconds the switch gate was held: switch, sync and any
-    /// checkpoint, during which no transaction runs.
+    /// Microseconds the switch gate was held: switch and sync, during which
+    /// no transaction runs. A checkpoint due at this switch is written after
+    /// the gate is released and is not part of the hold.
     pub gate_hold_us: u64,
 }
 
@@ -97,8 +98,13 @@ pub struct OltpEngine {
     /// the storage manager requires ("when no active OLTP worker thread is
     /// using it any more", §3.2).
     switch_gate: RwLock<()>,
-    /// Durability controller, when persistence is enabled. Checkpoints run
-    /// inside the switch quiescence window (see [`Self::switch_and_sync_instances`]).
+    /// Serialises instance switches and checkpoints. Taken before the gate;
+    /// a switch that checkpoints holds it until the checkpoint is written
+    /// from the snapshot instance, so no later switch changes that instance
+    /// while it is read (see [`Self::switch_and_sync_instances`]).
+    switch_lock: Mutex<()>,
+    /// Durability controller, when persistence is enabled. Checkpoints are
+    /// positioned inside the switch quiescence window and written after it.
     persistence: RwLock<Option<Arc<DurabilityController>>>,
 }
 
@@ -117,6 +123,7 @@ impl OltpEngine {
             worker_manager: WorkerManager::new(),
             runtimes: RwLock::new(BTreeMap::new()),
             switch_gate: RwLock::new(()),
+            switch_lock: Mutex::new(()),
             persistence: RwLock::new(None),
         }
     }
@@ -141,12 +148,18 @@ impl OltpEngine {
     }
 
     /// Take a checkpoint immediately, inside its own quiescence window
-    /// (blocks until in-flight transactions drain). Returns `Ok(false)` when
-    /// no durability controller is attached.
+    /// (blocks until in-flight transactions drain), from the active
+    /// instance. Returns `Ok(false)` when no durability controller is
+    /// attached.
     pub fn checkpoint_now(&self) -> Result<bool, DurabilityError> {
+        let _switching = self.switch_lock.lock();
         let _guard = self.switch_gate.write();
         match self.persistence.read().clone() {
-            Some(ctl) => ctl.checkpoint_quiesced(self).map(|()| true),
+            Some(ctl) => {
+                let pos = ctl.position(self);
+                ctl.write_checkpoint(self, pos, CheckpointSource::Active)
+                    .map(|()| true)
+            }
             None => Ok(false),
         }
     }
@@ -187,6 +200,11 @@ impl OltpEngine {
         self.runtimes.read().keys().cloned().collect()
     }
 
+    /// Runtimes of all relations, in name order.
+    pub(crate) fn table_runtimes(&self) -> Vec<Arc<TableRuntime>> {
+        self.runtimes.read().values().cloned().collect()
+    }
+
     /// Begin an interactive transaction.
     pub fn begin(&self) -> Transaction<'_> {
         self.txn_manager.begin()
@@ -225,6 +243,7 @@ impl OltpEngine {
     /// per-relation outcomes (the RDE engine uses them to size the
     /// synchronisation work).
     pub fn switch_instance(&self) -> BTreeMap<String, SwitchOutcome> {
+        let _switching = self.switch_lock.lock();
         let _guard = self.switch_gate.write();
         self.store.switch_all()
     }
@@ -251,7 +270,16 @@ impl OltpEngine {
     /// engine uses while the continuous ingest pool runs. The result also
     /// says how long the gate took to acquire and how long it was held
     /// (every transaction stalls for the latter).
+    ///
+    /// A checkpoint due at this switch only reads its position (WAL LSN and
+    /// clock) inside the gate. It is written after the gate is released,
+    /// from the snapshot instance: below the switch watermark that instance
+    /// holds exactly the state at that position and does not change until
+    /// the next switch (updates and twin sync write the active instance,
+    /// inserts append at or above the watermark), and the switch mutex,
+    /// held until the checkpoint is written, keeps the next switch out.
     pub fn switch_and_sync_instances(&self) -> InstanceSwitch {
+        let _switching = self.switch_lock.lock();
         let requested = Instant::now();
         let guard = self.switch_gate.write();
         let acquired = Instant::now();
@@ -262,13 +290,15 @@ impl OltpEngine {
             .iter()
             .map(|(name, rt)| (name.clone(), rt.twin().sync_active_from_snapshot()))
             .collect();
-        // Checkpoints piggyback on the quiescence window the switch already
-        // paid for: the twins are synced and no transaction is in flight.
-        if let Some(ctl) = self.persistence.read().clone() {
-            ctl.note_switch(self);
-        }
+        let controller = self.persistence.read().clone();
+        let due = controller.as_ref().and_then(|ctl| ctl.note_switch(self));
         let gate_hold_us = acquired.elapsed().as_micros() as u64;
         drop(guard);
+        if let (Some(ctl), Some(pos)) = (controller, due) {
+            // A failure is counted by the controller; the WAL keeps its
+            // tail and the engine keeps running.
+            let _ = ctl.write_checkpoint(self, pos, CheckpointSource::Snapshot);
+        }
         InstanceSwitch {
             switched,
             synced,

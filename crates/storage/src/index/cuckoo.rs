@@ -11,6 +11,7 @@
 //! lock. This matches the usage pattern of the OLTP engine, where the index
 //! is read on every record access but only written on inserts.
 
+use super::RecordLocation;
 use parking_lot::RwLock;
 
 const SLOTS_PER_BUCKET: usize = 4;
@@ -135,9 +136,8 @@ impl<V: Copy> CuckooIndex<V> {
     }
 
     /// All `(key, value)` pairs, sorted by key. Takes the read lock once and
-    /// materialises the table — used by the durability layer to capture the
-    /// primary-key → record-location mapping at checkpoint time, not on the
-    /// transactional fast path.
+    /// materialises the table (a whole-index dump for tests and tools, not
+    /// for the transactional fast path).
     pub fn entries(&self) -> Vec<(u64, V)> {
         let inner = self.inner.read();
         let mut out: Vec<(u64, V)> = inner
@@ -242,9 +242,50 @@ impl<V: Copy> CuckooIndex<V> {
     }
 }
 
+impl CuckooIndex<RecordLocation> {
+    /// The keys of rows `0..rows` in row order: `keys[r]` is the key whose
+    /// location is row `r`; keys of later rows are skipped. One walk over
+    /// the buckets under the read lock, no sort. `None` unless every row
+    /// below `rows` has exactly one key. Used by the durability layer to
+    /// store a checkpoint's keys.
+    pub fn keys_in_row_order(&self, rows: u64) -> Option<Vec<u64>> {
+        let rows = rows as usize;
+        let mut keys = vec![0u64; rows];
+        let mut seen = vec![false; rows];
+        let inner = self.inner.read();
+        for e in inner.buckets.iter().flat_map(|b| b.iter().flatten()) {
+            let row = e.value.row as usize;
+            if row < rows {
+                if seen[row] {
+                    return None;
+                }
+                seen[row] = true;
+                keys[row] = e.key;
+            }
+        }
+        drop(inner);
+        seen.iter().all(|&s| s).then_some(keys)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn keys_in_row_order_walks_rows_below_the_bound() {
+        let idx: CuckooIndex<RecordLocation> = CuckooIndex::with_capacity(8);
+        for (row, key) in [(0u64, 50u64), (1, 7), (2, 1 << 40), (3, 3)] {
+            idx.insert(key, RecordLocation::new(row, 1));
+        }
+        assert_eq!(idx.keys_in_row_order(4), Some(vec![50, 7, 1 << 40, 3]));
+        assert_eq!(idx.keys_in_row_order(2), Some(vec![50, 7]));
+        assert_eq!(idx.keys_in_row_order(0), Some(vec![]));
+        // Row 4 has no key; row 1 gets a second one.
+        assert_eq!(idx.keys_in_row_order(5), None);
+        idx.insert(99, RecordLocation::new(1, 0));
+        assert_eq!(idx.keys_in_row_order(2), None);
+    }
 
     #[test]
     fn insert_get_overwrite_remove() {

@@ -2,10 +2,11 @@
 //! durable medium, recover from disk, and assert the recovered store is
 //! bit-identical to the committed prefix of the run that crashed.
 //!
-//! Four scenarios: clean shutdown, mid-ingest kill (halted medium),
+//! Five scenarios: clean shutdown, mid-ingest kill (halted medium), the
+//! same kill after checkpoints written beside live ingest,
 //! kill-during-checkpoint, and a torn WAL tail.
 
-use htap_core::{HtapConfig, HtapSystem, MemStorage};
+use htap_core::{HtapConfig, HtapSystem, MemStorage, QueryId};
 use htap_durability::{decode_wal, DurableStorage, FaultInjector, FaultStorage};
 use htap_oltp::WAL_FILE;
 use htap_storage::Value;
@@ -92,6 +93,57 @@ fn mid_ingest_kill_recovers_exactly_the_durable_commits() {
     // "Reboot": the medium comes back with exactly the bytes it held.
     injector.resume();
     let system = HtapSystem::build_durable(config(), Arc::new(disk.clone())).unwrap();
+    assert_eq!(digest(&system), committed_prefix);
+    assert!(system.run_oltp(1).committed > 0);
+}
+
+/// Run the ingest pool until `committed` grows past `target`.
+fn ingest_until(system: &HtapSystem, target: u64) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while system.oltp_live_counts().committed < target {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "ingest never reached {target} commits"
+        );
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn checkpoints_beside_live_ingest_recover_exactly_the_durable_commits() {
+    let disk = MemStorage::new();
+    let injector = FaultInjector::new();
+    let faulty: Arc<dyn DurableStorage> =
+        Arc::new(FaultStorage::new(Arc::new(disk.clone()), injector.clone()));
+    let mut cfg = config();
+    // Every scheduled query switches once, and every switch checkpoints:
+    // each checkpoint is written from the snapshot instance while the pool
+    // keeps committing to the active one.
+    cfg.durability.checkpoint_interval_switches = 1;
+    let committed_prefix = {
+        let system = HtapSystem::build_durable(cfg.clone(), faulty).unwrap();
+        let durability = system.rde().oltp().durability().expect("built durable");
+        assert!(system.start_oltp_ingest() > 0);
+        for (i, query) in [QueryId::Q1, QueryId::Q6, QueryId::Q19]
+            .into_iter()
+            .cycle()
+            .take(10)
+            .enumerate()
+        {
+            ingest_until(&system, 10 * (i as u64 + 1));
+            system.execute_query(query).unwrap();
+        }
+        let stats = durability.stats();
+        assert_eq!(stats.checkpoints_taken, 10);
+        assert_eq!(stats.checkpoint_errors, 0);
+        // Commits after the last checkpoint live only in the WAL tail.
+        ingest_until(&system, system.oltp_live_counts().committed + 20);
+        injector.halt();
+        system.stop_oltp_ingest();
+        digest(&system)
+    };
+    injector.resume();
+    let system = HtapSystem::build_durable(cfg, Arc::new(disk.clone())).unwrap();
     assert_eq!(digest(&system), committed_prefix);
     assert!(system.run_oltp(1).committed > 0);
 }

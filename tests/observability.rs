@@ -232,3 +232,35 @@ fn every_switch_and_etl_lands_in_the_gate_and_etl_histograms() {
         );
     }
 }
+
+#[test]
+fn every_checkpoint_lands_in_the_checkpoint_histogram_traced_or_not() {
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut config = HtapConfig::tiny();
+    // Every scheduled query switches once and checkpoints at that switch.
+    config.durability.checkpoint_interval_switches = 1;
+    let system = HtapSystem::build_durable(
+        config,
+        std::sync::Arc::new(adaptive_htap::durability::MemStorage::new()),
+    )
+    .expect("durable system builds");
+    let durability = system.rde().oltp().durability().expect("built durable");
+    for traced in [true, false] {
+        obs::set_enabled(traced);
+        let before = histogram_count("durability.checkpoint_us");
+        let taken_before = durability.stats().checkpoints_taken;
+        // Two checkpoints through the scheduler's switch, one explicit.
+        assert!(system.run_oltp(2).committed > 0);
+        system.execute_query(QueryId::Q6).expect("Q6 executes");
+        assert!(system.checkpoint_now().expect("checkpoint succeeds"));
+        system.execute_query(QueryId::Q1).expect("Q1 executes");
+        let taken = durability.stats().checkpoints_taken - taken_before;
+        assert_eq!(taken, 3, "traced {traced}");
+        assert_eq!(
+            histogram_count("durability.checkpoint_us") - before,
+            taken,
+            "one sample per checkpoint, traced {traced}"
+        );
+    }
+    obs::set_enabled(true);
+}
